@@ -315,7 +315,6 @@ int RunSimdKernelSweep(const std::string& json_path) {
   // Stat arrays carry the two scratch slots the integer kernels' dense
   // loop steers excluded rows into (simd.h, CateSink).
   struct Sink {
-    size_t rows = 0, n_treated = 0, n_control = 0;
     std::vector<uint32_t> n = std::vector<uint32_t>(2 * kCells + 2, 0);
     std::vector<double> sy = std::vector<double>(2 * kCells + 2, 0.0);
     std::vector<double> syy = std::vector<double>(2 * kCells + 2, 0.0);
@@ -323,9 +322,6 @@ int RunSimdKernelSweep(const std::string& json_path) {
     std::vector<int64_t> isyy = std::vector<int64_t>(2 * kCells + 2, 0);
     simd::CateSink View() {
       simd::CateSink s;
-      s.rows = &rows;
-      s.n_treated = &n_treated;
-      s.n_control = &n_control;
       s.n = n.data();
       s.sy = sy.data();
       s.syy = syy.data();
@@ -371,7 +367,6 @@ int RunSimdKernelSweep(const std::string& json_path) {
     for (const bool dense : {true, false}) {
       simd::CateAccumArgs args;
       args.group_words = (dense ? group_dense : group_sparse).data();
-      args.treated_words = treated.data();
       args.protected_words = prot.data();
       args.cell_of_row = cell_of_row.data();
       args.outcome = outcome.data();
@@ -382,11 +377,15 @@ int RunSimdKernelSweep(const std::string& json_path) {
              dense ? "cate_accumulate_dense" : "cate_accumulate_sparse",
              level, kBits, TimeNsPerCall([&] {
                Sink overall, p, np;
-               args.overall = overall.View();
-               args.prot = p.View();
-               args.nonprot = np.View();
+               simd::CateTreatmentSinks sinks;
+               sinks.treated_words = treated.data();
+               sinks.overall = overall.View();
+               sinks.prot = p.View();
+               sinks.nonprot = np.View();
+               args.treatments = &sinks;
+               args.num_treatments = 1;
                k->cate_accumulate(args);
-               benchmark::DoNotOptimize(overall.rows);
+               benchmark::DoNotOptimize(overall.n.data());
              }));
       // The exact int64 fast path on the same masks with an
       // integer-valued outcome; the guard never trips at this magnitude.
@@ -396,11 +395,15 @@ int RunSimdKernelSweep(const std::string& json_path) {
              dense ? "cate_accumulate_int_dense" : "cate_accumulate_int_sparse",
              level, kBits, TimeNsPerCall([&] {
                Sink overall, p, np;
-               args.overall = overall.View();
-               args.prot = p.View();
-               args.nonprot = np.View();
+               simd::CateTreatmentSinks sinks;
+               sinks.treated_words = treated.data();
+               sinks.overall = overall.View();
+               sinks.prot = p.View();
+               sinks.nonprot = np.View();
+               args.treatments = &sinks;
+               args.num_treatments = 1;
                benchmark::DoNotOptimize(k->cate_accumulate_int(args));
-               benchmark::DoNotOptimize(overall.rows);
+               benchmark::DoNotOptimize(overall.n.data());
              }));
     }
   }

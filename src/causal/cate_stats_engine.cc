@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 
 #include <cassert>
 
@@ -17,6 +16,80 @@
 #include "util/task_scheduler.h"
 
 namespace faircap {
+
+namespace {
+
+// Accumulation-pass observability. simd.cate_accumulate_rows, the
+// accumulate_path_* counters and estimation.accumulate_int_fallbacks are
+// per treatment (a walk serving K treatments adds K times), so rows per
+// evaluation compare like with like across batch widths;
+// simd.cate_walk_rows, estimation.batched_passes and batch_width describe
+// the walks themselves.
+struct AccumMetrics {
+  obs::Counter& accumulate_rows;
+  obs::Counter& walk_rows;
+  obs::Counter& path_int;
+  obs::Counter& int_fallbacks;
+  obs::Counter& path_fp_staged;
+  obs::Counter& path_sparse;
+  obs::Counter& batched_passes;
+  obs::Histogram& batch_width;
+};
+
+AccumMetrics& Metrics() {
+  obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
+  static AccumMetrics* metrics = new AccumMetrics{
+      r.GetCounter("simd.cate_accumulate_rows"),
+      r.GetCounter("simd.cate_walk_rows"),
+      r.GetCounter("estimation.accumulate_path_int"),
+      r.GetCounter("estimation.accumulate_int_fallbacks"),
+      r.GetCounter("estimation.accumulate_path_fp_staged"),
+      r.GetCounter("estimation.accumulate_path_sparse"),
+      r.GetCounter("estimation.batched_passes"),
+      r.GetHistogram("estimation.batch_width"),
+  };
+  return *metrics;
+}
+
+// One walk over a group, K treatments wide.
+void RecordPass(size_t width) {
+  Metrics().batched_passes.Increment();
+  Metrics().batch_width.Observe(static_cast<double>(width));
+}
+
+simd::CateSink SinkOf(CateStatsEngine::Accum* acc) {
+  simd::CateSink sink;
+  sink.n = acc->n.data();
+  sink.sy = acc->sy.data();
+  sink.syy = acc->syy.data();
+  sink.zsum = acc->zsum.empty() ? nullptr : acc->zsum.data();
+  sink.zysum = acc->zysum.empty() ? nullptr : acc->zysum.data();
+  sink.zzsum = acc->zzsum.empty() ? nullptr : acc->zzsum.data();
+  sink.isy = acc->isy.empty() ? nullptr : acc->isy.data();
+  sink.isyy = acc->isyy.empty() ? nullptr : acc->isyy.data();
+  return sink;
+}
+
+// The kernels keep no row or arm counters; a fresh accum's are the sums
+// of its real (cell, arm) slot counts — the two scratch slots excluded.
+void DeriveCounts(CateStatsEngine::Accum* acc) {
+  size_t treated = 0, control = 0;
+  for (size_t i = 0; i + 2 < acc->n.size(); i += 2) {
+    control += acc->n[i];
+    treated += acc->n[i + 1];
+  }
+  acc->n_treated = treated;
+  acc->n_control = control;
+  acc->rows = treated + control;
+}
+
+// Accumulator bytes a walk may keep hot across its treatments: about an
+// L1 data cache. The sinks take scattered per-row adds, so a batch whose
+// sinks overflow it trades the saved bitmap/cell/outcome loads for cache
+// misses on every add.
+constexpr size_t kBatchAccumBytes = 32 * 1024;
+
+}  // namespace
 
 std::vector<double> QuantileBinEdges(const Column& col, size_t bins) {
   std::vector<double> values;
@@ -106,20 +179,22 @@ Result<CateEstimate> HajekIpwFromRows(
   return est;
 }
 
-std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
+Result<std::shared_ptr<const ConfounderPartition>> ConfounderPartition::Build(
     const DataFrame& df, size_t outcome_attr,
     const std::vector<size_t>& adjustment, const CateOptions& options) {
   std::shared_ptr<ConfounderPartition> part(new ConfounderPartition());
   const size_t n = df.num_rows();
   part->outcome_attr_ = outcome_attr;
-  // Fresh cell-numbering identity; ExtendFor inherits it via the copy.
+  // Fresh cell-numbering identity; ExtendInPlace keeps it.
   static std::atomic<uint64_t> next_lineage{1};
   part->lineage_id_ = next_lineage.fetch_add(1, std::memory_order_relaxed);
 
   // Per-confounder layout: design feature span (legacy enumeration order)
-  // and the radix base of the legacy stratum id. Persisted so ExtendFor
-  // can intern appended rows with the exact same signatures.
+  // and the radix base of the cell key. Persisted so ExtendInPlace can
+  // intern appended rows with the exact same keys.
   part->confs_.reserve(adjustment.size());
+  int64_t radix = 1;  // product of the bases: keys lie in [0, radix)
+  bool overflow = false;
   for (size_t attr : adjustment) {
     const Column& col = df.column(attr);
     ConfLayout info;
@@ -141,7 +216,19 @@ std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
           col, std::max<size_t>(1, options.numeric_confounder_bins));
       info.base = static_cast<int64_t>(info.edges.size() + 2);
     }
+    overflow = overflow || __builtin_mul_overflow(radix, info.base, &radix);
     part->confs_.push_back(std::move(info));
+  }
+  if (overflow) {
+    std::string names;
+    for (size_t attr : adjustment) {
+      if (!names.empty()) names += ", ";
+      names += df.schema().attribute(attr).name;
+    }
+    return Status::InvalidArgument(
+        "adjustment set {" + names + "} is too wide: its joint confounder "
+        "key, a mixed radix over " + std::to_string(adjustment.size()) +
+        " confounders, overflows int64 and would merge distinct cells");
   }
 
   // Cache the numeric confounder columns with nulls as 0.0 — exactly the
@@ -165,28 +252,7 @@ std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
   }
 
   part->InternRows(df, /*row_begin=*/0);
-  return part;
-}
-
-std::shared_ptr<const ConfounderPartition> ConfounderPartition::ExtendFor(
-    const ConfounderPartition& base, const DataFrame& df) {
-  if (df.num_rows() < base.rows_covered_) return nullptr;  // not an append
-  // Numeric confounders are never extendable: their quantile edges (and
-  // with them every row's bin signature) shift with the new rows.
-  if (!base.numeric_features_.empty()) return nullptr;
-  // A categorical confounder that gained categories changes the radix
-  // bases and the one-hot feature layout — cold rebuild required.
-  for (const ConfLayout& info : base.confs_) {
-    if (df.column(info.attr).num_categories() != info.num_categories) {
-      return nullptr;
-    }
-  }
-  // Copy-and-extend: holders of `base` keep a consistent snapshot. The
-  // default copy is sound here because numeric_value_ptrs_ (the only
-  // self-referential member) is empty on the extendable path.
-  std::shared_ptr<ConfounderPartition> part(new ConfounderPartition(base));
-  part->InternRows(df, base.rows_covered_);
-  return part;
+  return std::shared_ptr<const ConfounderPartition>(std::move(part));
 }
 
 bool ConfounderPartition::ExtendInPlace(const DataFrame& df) {
@@ -201,14 +267,45 @@ bool ConfounderPartition::ExtendInPlace(const DataFrame& df) {
   return true;
 }
 
+int32_t ConfounderPartition::CellIndex::FindOrInsert(int64_t key,
+                                                     int32_t next) {
+  if ((size_ + 1) * 2 > keys_.size()) Grow();
+  const size_t mask = keys_.size() - 1;
+  uint64_t h = static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
+  h ^= h >> 32;
+  for (size_t slot = static_cast<size_t>(h) & mask;;
+       slot = (slot + 1) & mask) {
+    if (keys_[slot] == key) return cells_[slot];
+    if (keys_[slot] < 0) {
+      keys_[slot] = key;
+      cells_[slot] = next;
+      ++size_;
+      return next;
+    }
+  }
+}
+
+void ConfounderPartition::CellIndex::Grow() {
+  std::vector<int64_t> old_keys = std::move(keys_);
+  std::vector<int32_t> old_cells = std::move(cells_);
+  const size_t capacity = std::max<size_t>(16, old_keys.size() * 2);
+  keys_.assign(capacity, -1);
+  cells_.assign(capacity, 0);
+  size_ = 0;
+  for (size_t i = 0; i < old_keys.size(); ++i) {
+    if (old_keys[i] >= 0) FindOrInsert(old_keys[i], old_cells[i]);
+  }
+}
+
 void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   const size_t n = df.num_rows();
 
-  // Intern each row's joint signature (code / quantile bin / null flag per
-  // confounder) into a dense cell id. Rows with a null outcome stay at
-  // cell -1: every estimator excludes them. New cells are appended in
-  // first-appearance order, which for an extension (row_begin > 0) is the
-  // order a cold build over the concatenated table would discover them.
+  // Intern each row's joint key (code / quantile bin / null digit per
+  // confounder, as one int64 mixed radix) into a dense cell id. Rows with
+  // a null outcome stay at cell -1: every estimator excludes them. New
+  // cells are appended in first-appearance order, which for an extension
+  // (row_begin > 0) is the order a cold build over the concatenated table
+  // would discover them.
   const Column& outcome = df.column(outcome_attr_);
   // Reserve ~12.5% headroom past the current table whenever the per-row
   // caches must grow: an append of up to that fraction then extends in
@@ -220,50 +317,77 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   if (cell_of_row_.capacity() < n) cell_of_row_.reserve(n + n / 8);
   outcome_.resize(n);
   cell_of_row_.resize(n, -1);
-  std::vector<int32_t> sig(confs_.size());
-  std::string key;
-  for (size_t r = row_begin; r < n; ++r) {
-    const bool outcome_null = outcome.IsNull(r);
-    outcome_[r] = outcome_null ? 0.0 : outcome.numeric(r);
-    cell_of_row_[r] = -1;
-    if (outcome_null) continue;
+
+  // A new cell's one-hot features and legacy stratum id, decoded from its
+  // key. Without nulls the stratum id IS the key (same digits, same
+  // bases); any null digit makes it -1.
+  const auto make_cell = [&](int64_t key) {
+    std::vector<int64_t> digits(confs_.size());
+    int64_t rest = key;
+    for (size_t a = confs_.size(); a-- > 0;) {
+      digits[a] = rest % confs_[a].base;
+      rest /= confs_[a].base;
+    }
+    Cell cell;
+    bool any_null = false;
     for (size_t a = 0; a < confs_.size(); ++a) {
-      const ConfLayout& info = confs_[a];
+      if (digits[a] == confs_[a].base - 1) {
+        any_null = true;
+      } else if (confs_[a].categorical && digits[a] >= 1) {
+        cell.onehot.push_back(confs_[a].feature_base +
+                              static_cast<uint32_t>(digits[a] - 1));
+      }
+    }
+    cell.stratum_id = any_null ? -1 : key;
+    return cell;
+  };
+
+  // Keys are built column-at-a-time over row blocks small enough to stay
+  // in L1: each confounder column streams through one tight digit loop,
+  // then a single pass interns the block.
+  constexpr size_t kBlock = 1024;
+  int64_t keys[kBlock];
+  const double* y = outcome.numeric_data();
+  for (size_t begin = row_begin; begin < n; begin += kBlock) {
+    const size_t len = std::min(kBlock, n - begin);
+    std::fill(keys, keys + len, 0);
+    for (const ConfLayout& info : confs_) {
       const Column& col = df.column(info.attr);
-      if (col.IsNull(r)) {
-        sig[a] = -1;
-      } else if (info.categorical) {
-        sig[a] = col.code(r);
+      const int64_t base = info.base;
+      const int64_t null_digit = base - 1;
+      if (info.categorical) {
+        const int32_t* codes = col.codes_data() + begin;
+        for (size_t i = 0; i < len; ++i) {
+          const int32_t code = codes[i];
+          keys[i] = keys[i] * base + (code < 0 ? null_digit : code);
+        }
       } else {
-        sig[a] = static_cast<int32_t>(
-            std::upper_bound(info.edges.begin(), info.edges.end(),
-                             col.numeric(r)) -
-            info.edges.begin());
-      }
-    }
-    key.assign(reinterpret_cast<const char*>(sig.data()),
-               sig.size() * sizeof(int32_t));
-    const auto [it, inserted] =
-        cell_ids_.emplace(key, static_cast<int32_t>(cells_.size()));
-    if (inserted) {
-      Cell cell;
-      int64_t id = 0;
-      bool any_null = false;
-      for (size_t a = 0; a < confs_.size(); ++a) {
-        if (sig[a] < 0) {
-          any_null = true;
-          continue;
-        }
-        id = id * confs_[a].base + sig[a];
-        if (confs_[a].categorical && sig[a] >= 1) {
-          cell.onehot.push_back(confs_[a].feature_base +
-                                static_cast<uint32_t>(sig[a] - 1));
+        const double* values = col.numeric_data() + begin;
+        for (size_t i = 0; i < len; ++i) {
+          const double v = values[i];
+          const int64_t bin =
+              std::isnan(v)
+                  ? null_digit
+                  : std::upper_bound(info.edges.begin(), info.edges.end(),
+                                     v) -
+                        info.edges.begin();
+          keys[i] = keys[i] * base + bin;
         }
       }
-      cell.stratum_id = any_null ? -1 : id;
-      cells_.push_back(std::move(cell));
     }
-    cell_of_row_[r] = it->second;
+    for (size_t i = 0; i < len; ++i) {
+      const size_t r = begin + i;
+      if (std::isnan(y[r])) {
+        outcome_[r] = 0.0;
+        cell_of_row_[r] = -1;
+        continue;
+      }
+      outcome_[r] = y[r];
+      const int32_t next = static_cast<int32_t>(cells_.size());
+      const int32_t cell = cell_ids_.FindOrInsert(keys[i], next);
+      if (cell == next) cells_.push_back(make_cell(keys[i]));
+      cell_of_row_[r] = cell;
+    }
   }
 
   // Detect integer-valued outcomes (the german/stackoverflow binary
@@ -337,9 +461,8 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   for (const Cell& cell : cells_) {
     bytes += sizeof(Cell) + cell.onehot.size() * sizeof(uint32_t);
   }
-  // Approximate intern-map footprint (key bytes + node overhead); kept in
-  // the budgeted total now that the map persists for extension.
-  bytes += cell_ids_.size() * (confs_.size() * sizeof(int32_t) + 64);
+  // The intern map persists for extension, so it counts too.
+  bytes += cell_ids_.bytes();
   bytes_ = bytes;
   rows_covered_ = n;
 }
@@ -384,108 +507,207 @@ CateStatsEngine::Accum CateStatsEngine::MakeAccum() const {
   return acc;
 }
 
-void CateStatsEngine::Accumulate(const Bitmap& group,
-                                 const Bitmap* protected_mask, Accum* overall,
-                                 Accum* prot, Accum* nonprot) const {
-  AccumulateRange(group, protected_mask, 0, group.num_words(), overall, prot,
-                  nonprot);
+CateStatsEngine::SubgroupAccums CateStatsEngine::MakeSubgroupAccums(
+    bool split) const {
+  SubgroupAccums out;
+  out.split = split;
+  out.rows_covered = df_->num_rows();
+  out.overall = MakeAccum();
+  if (split) {
+    out.prot = MakeAccum();
+    out.nonprot = MakeAccum();
+  }
+  return out;
 }
 
-void CateStatsEngine::AccumulateRange(const Bitmap& group,
+void CateStatsEngine::AccumulateRange(const CateStatsEngine* const* engines,
+                                      size_t count, const Bitmap& group,
                                       const Bitmap* protected_mask,
                                       size_t word_begin, size_t word_end,
-                                      Accum* overall, Accum* prot,
-                                      Accum* nonprot) const {
-  // All three bitmaps are walked in lockstep over one word range; a
-  // mismatched universe (a shard-view bug) would otherwise read out of
-  // bounds of the shorter mask.
-  assert(group.size() == treated_->size());
+                                      SubgroupAccums* outs) {
+  const CateStatsEngine& lead = *engines[0];
+  const ConfounderPartition& part = *lead.partition_;
+  // All bitmaps are walked in lockstep over one word range; a mismatched
+  // universe (a shard-view bug) would otherwise read out of bounds of the
+  // shorter mask.
   assert(protected_mask == nullptr || protected_mask->size() == group.size());
   assert(word_end <= group.num_words());
 
-  // The treated mask drives the arm bit and the group (plus optional
-  // protected) masks the rows — three bitmaps walked word-at-a-time, 64
-  // rows per load, through the runtime-dispatched accumulation kernel.
-  // Integer-valued outcomes take the exact int64 path (associative, so
-  // tiers reassociate freely); real-valued outcomes keep every float add
-  // in the same ascending-row order per sink. Either way the result is
-  // bit-identical at every SIMD level.
-  const auto sink_of = [](Accum* acc) {
-    simd::CateSink sink;
-    sink.rows = &acc->rows;
-    sink.n_treated = &acc->n_treated;
-    sink.n_control = &acc->n_control;
-    sink.n = acc->n.data();
-    sink.sy = acc->sy.data();
-    sink.syy = acc->syy.data();
-    sink.zsum = acc->zsum.empty() ? nullptr : acc->zsum.data();
-    sink.zysum = acc->zysum.empty() ? nullptr : acc->zysum.data();
-    sink.zzsum = acc->zzsum.empty() ? nullptr : acc->zzsum.data();
-    sink.isy = acc->isy.empty() ? nullptr : acc->isy.data();
-    sink.isyy = acc->isyy.empty() ? nullptr : acc->isyy.data();
-    return sink;
-  };
+  // The group (plus optional protected) mask drives the rows — walked
+  // word-at-a-time, 64 rows per load, through the runtime-dispatched
+  // kernel — and each treatment's mask drives its arm bit. Integer-valued
+  // outcomes take the exact int64 path (associative, so tiers reassociate
+  // freely); real-valued outcomes keep every float add in the same
+  // ascending-row order per sink. Either way each treatment's result is
+  // bit-identical at every SIMD level and at every batch width.
+  std::vector<simd::CateTreatmentSinks> sinks(count);
+  for (size_t k = 0; k < count; ++k) {
+    const CateStatsEngine& engine = *engines[k];
+    assert(engine.partition_.get() == &part);
+    assert(group.size() == engine.treated_->size());
+    sinks[k].treated_words = engine.treated_->words();
+    sinks[k].overall = SinkOf(&outs[k].overall);
+    if (protected_mask != nullptr) {
+      sinks[k].prot = SinkOf(&outs[k].prot);
+      sinks[k].nonprot = SinkOf(&outs[k].nonprot);
+    }
+  }
   simd::CateAccumArgs args;
   args.group_words = group.words();
-  args.treated_words = treated_->words();
   args.protected_words =
       protected_mask != nullptr ? protected_mask->words() : nullptr;
-  args.cell_of_row = partition_->cell_of_row().data();
-  args.outcome = partition_->outcome().data();
-  args.num_numeric = partition_->num_numeric();
-  args.moments = need_moments();
-  args.zcols = args.moments ? partition_->numeric_value_ptrs() : nullptr;
+  args.cell_of_row = part.cell_of_row().data();
+  args.outcome = part.outcome().data();
+  args.num_numeric = part.num_numeric();
+  args.moments = lead.need_moments();
+  args.zcols = args.moments ? part.numeric_value_ptrs() : nullptr;
   args.word_begin = word_begin;
   args.word_end = word_end;
-  args.num_slots = partition_->cells().size() * 2;
+  args.num_slots = part.cells().size() * 2;
   size_t dense_words = 0, sparse_words = 0;
   args.dense_words = &dense_words;
   args.sparse_words = &sparse_words;
-  args.overall = sink_of(overall);
-  if (protected_mask != nullptr) {
-    args.prot = sink_of(prot);
-    args.nonprot = sink_of(nonprot);
-  }
+  args.treatments = sinks.data();
+  args.num_treatments = count;
 
-  const bool int_path = int_path_enabled();
-  const size_t rows_before = overall->rows;
+  const bool int_path = lead.int_path_enabled();
   bool stayed_int = false;
   if (int_path) {
-    args.outcome_i64 = partition_->outcome_i64().data();
-    args.safe_rows = partition_->safe_int_rows();
+    args.outcome_i64 = part.outcome_i64().data();
+    args.safe_rows = part.safe_int_rows();
     stayed_int = simd::ActiveKernels().cate_accumulate_int(args);
-    overall->int_valid = stayed_int;
-    if (protected_mask != nullptr) {
-      prot->int_valid = stayed_int;
-      nonprot->int_valid = stayed_int;
-    }
   } else {
     simd::ActiveKernels().cate_accumulate(args);
   }
+  for (size_t k = 0; k < count; ++k) {
+    DeriveCounts(&outs[k].overall);
+    outs[k].overall.int_valid = stayed_int;
+    if (protected_mask != nullptr) {
+      DeriveCounts(&outs[k].prot);
+      DeriveCounts(&outs[k].nonprot);
+      outs[k].prot.int_valid = stayed_int;
+      outs[k].nonprot.int_valid = stayed_int;
+    }
+  }
 
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Counter& rows_counter =
-      registry.GetCounter("simd.cate_accumulate_rows");
-  rows_counter.Add(overall->rows - rows_before);
+  AccumMetrics& metrics = Metrics();
+  const size_t walked = outs[0].overall.rows;
+  metrics.walk_rows.Add(walked);
+  metrics.accumulate_rows.Add(walked * count);
   if (stayed_int) {
-    static obs::Counter& int_passes =
-        registry.GetCounter("estimation.accumulate_path_int");
-    int_passes.Increment();
+    metrics.path_int.Add(count);
     return;
   }
-  if (int_path) {
-    static obs::Counter& fallbacks =
-        registry.GetCounter("estimation.accumulate_int_fallbacks");
-    fallbacks.Increment();
-  }
+  if (int_path) metrics.int_fallbacks.Add(count);
   if (dense_words >= sparse_words && dense_words > 0) {
-    static obs::Counter& staged_passes =
-        registry.GetCounter("estimation.accumulate_path_fp_staged");
-    staged_passes.Increment();
+    metrics.path_fp_staged.Add(count);
   } else {
-    static obs::Counter& sparse_passes =
-        registry.GetCounter("estimation.accumulate_path_sparse");
-    sparse_passes.Increment();
+    metrics.path_sparse.Add(count);
+  }
+}
+
+void CateStatsEngine::AccumulateChunk(const CateStatsEngine* const* engines,
+                                      size_t count, const Bitmap& group,
+                                      const Bitmap* protected_mask,
+                                      const ShardPlan* plan, TaskGroup* tasks,
+                                      SubgroupAccums* outs) {
+  RecordPass(count);
+  const bool split = protected_mask != nullptr;
+  if (plan == nullptr || plan->num_shards() <= 1) {
+    for (size_t k = 0; k < count; ++k) {
+      outs[k] = engines[k]->MakeSubgroupAccums(split);
+    }
+    AccumulateRange(engines, count, group, protected_mask, 0,
+                    group.num_words(), outs);
+    return;
+  }
+  assert(plan->num_rows() == group.size());
+  const size_t shards = plan->num_shards();
+
+  // Per-shard partials, K per shard, accumulated independently over each
+  // shard's word range. The IPW row-level fallback (numeric confounders)
+  // re-walks the whole group inside Solve and is row-order deterministic
+  // either way.
+  std::vector<std::vector<SubgroupAccums>> parts(shards);
+  auto accumulate_shard = [&](size_t s) {
+    const obs::TraceSpan shard_span("shard", static_cast<int64_t>(s));
+    const ShardPlan::Shard& shard = plan->shard(s);
+    parts[s].reserve(count);
+    for (size_t k = 0; k < count; ++k) {
+      parts[s].push_back(engines[k]->MakeSubgroupAccums(split));
+    }
+    AccumulateRange(engines, count, group, protected_mask, shard.word_begin,
+                    shard.word_end, parts[s].data());
+  };
+  if (tasks == nullptr) {
+    for (size_t s = 0; s < shards; ++s) accumulate_shard(s);
+  } else {
+    // Child tasks of the caller's group; Wait() inside ParallelFor helps
+    // (executes pending shard tasks) so this nests freely under a
+    // pattern task on the same scheduler.
+    tasks->ParallelFor(shards, accumulate_shard);
+  }
+
+  // Merge per treatment in ascending shard order — fixed by the plan,
+  // not by thread scheduling — so the result is deterministic for this
+  // shard count and independent of the batch width.
+  for (size_t k = 0; k < count; ++k) {
+    const CateStatsEngine& engine = *engines[k];
+    outs[k] = std::move(parts[0][k]);
+    for (size_t s = 1; s < shards; ++s) {
+      engine.MergeAccum(&outs[k].overall, parts[s][k].overall);
+      if (split) {
+        engine.MergeAccum(&outs[k].prot, parts[s][k].prot);
+        engine.MergeAccum(&outs[k].nonprot, parts[s][k].nonprot);
+      }
+    }
+  }
+}
+
+std::vector<std::vector<size_t>> CateStatsEngine::GroupByPartition(
+    const std::vector<const CateStatsEngine*>& engines) {
+  std::vector<std::vector<size_t>> batches;
+  std::vector<const ConfounderPartition*> keys;
+  for (size_t i = 0; i < engines.size(); ++i) {
+    if (engines[i] == nullptr) continue;
+    const ConfounderPartition* part = engines[i]->partition_.get();
+    const size_t b = static_cast<size_t>(
+        std::find(keys.begin(), keys.end(), part) - keys.begin());
+    if (b == keys.size()) {
+      keys.push_back(part);
+      batches.emplace_back();
+    }
+    batches[b].push_back(i);
+  }
+  return batches;
+}
+
+void CateStatsEngine::AccumulateBatch(
+    const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
+    const Bitmap* protected_mask, const ShardPlan* plan, TaskGroup* tasks,
+    const AccumsConsumer& consume) {
+  if (engines.empty()) return;
+  // Split the batch so one walk's accumulators fit kBatchAccumBytes: the
+  // width follows from the partition's cells and the accum shape alone.
+  const CateStatsEngine& lead = *engines[0];
+  const size_t slots = lead.partition_->cells().size() * 2;
+  const size_t m = lead.partition_->num_numeric();
+  size_t slot_bytes = sizeof(uint32_t) + 2 * sizeof(double);
+  if (lead.int_path_enabled()) slot_bytes += 2 * sizeof(int64_t);
+  if (lead.need_moments()) {
+    slot_bytes += (2 * m + m * (m + 1) / 2) * sizeof(double);
+  }
+  const size_t sinks = protected_mask != nullptr ? 3 : 1;
+  const size_t treatment_bytes = sinks * (slots + 2) * slot_bytes;
+  const size_t width =
+      std::min(engines.size(),
+               std::max<size_t>(1, kBatchAccumBytes / treatment_bytes));
+  std::vector<SubgroupAccums> chunk(width);
+  for (size_t begin = 0; begin < engines.size(); begin += width) {
+    const size_t count = std::min(width, engines.size() - begin);
+    AccumulateChunk(engines.data() + begin, count, group, protected_mask, plan,
+                    tasks, chunk.data());
+    for (size_t k = 0; k < count; ++k) consume(begin + k, std::move(chunk[k]));
   }
 }
 
@@ -858,83 +1080,11 @@ CateSubgroupEstimates CateStatsEngine::SolveSubgroups(
   return out;
 }
 
-CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateSubgroups(
-    const Bitmap& group, const Bitmap* protected_mask, const ShardPlan* plan,
-    TaskGroup* tasks) const {
-  SubgroupAccums out;
-  out.split = protected_mask != nullptr;
-  out.rows_covered = df_->num_rows();
-
-  if (plan == nullptr || plan->num_shards() <= 1) {
-    out.overall = MakeAccum();
-    if (out.split) {
-      out.prot = MakeAccum();
-      out.nonprot = MakeAccum();
-    }
-    Accumulate(group, protected_mask, &out.overall, &out.prot, &out.nonprot);
-    return out;
-  }
-  assert(plan->num_rows() == group.size());
-  const size_t shards = plan->num_shards();
-  const bool split = out.split;
-
-  // Per-shard partials, accumulated independently over each shard's word
-  // range. The IPW row-level fallback (numeric confounders) re-walks the
-  // whole group inside Solve and is row-order deterministic either way.
-  std::vector<Accum> overall_parts(shards);
-  std::vector<Accum> prot_parts(split ? shards : 0);
-  std::vector<Accum> nonprot_parts(split ? shards : 0);
-  auto accumulate_shard = [&](size_t s) {
-    const obs::TraceSpan shard_span("shard", static_cast<int64_t>(s));
-    const ShardPlan::Shard& shard = plan->shard(s);
-    overall_parts[s] = MakeAccum();
-    if (split) {
-      prot_parts[s] = MakeAccum();
-      nonprot_parts[s] = MakeAccum();
-    }
-    AccumulateRange(group, protected_mask, shard.word_begin, shard.word_end,
-                    &overall_parts[s], split ? &prot_parts[s] : nullptr,
-                    split ? &nonprot_parts[s] : nullptr);
-  };
-  if (tasks == nullptr) {
-    for (size_t s = 0; s < shards; ++s) accumulate_shard(s);
-  } else {
-    // Child tasks of the caller's group; Wait() inside ParallelFor helps
-    // (executes pending shard tasks) so this nests freely under a
-    // pattern task on the same scheduler.
-    tasks->ParallelFor(shards, accumulate_shard);
-  }
-
-  // Merge in ascending shard order — fixed by the plan, not by thread
-  // scheduling — so the result is deterministic for this shard count.
-  out.overall = std::move(overall_parts[0]);
-  if (split) {
-    out.prot = std::move(prot_parts[0]);
-    out.nonprot = std::move(nonprot_parts[0]);
-  }
-  for (size_t s = 1; s < shards; ++s) {
-    MergeAccum(&out.overall, overall_parts[s]);
-    if (split) {
-      MergeAccum(&out.prot, prot_parts[s]);
-      MergeAccum(&out.nonprot, nonprot_parts[s]);
-    }
-  }
-  return out;
-}
-
 CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateDelta(
     const Bitmap& group, const Bitmap* protected_mask,
     size_t row_begin) const {
   assert(group.size() == treated_->size());
   assert(row_begin <= group.size());
-  SubgroupAccums out;
-  out.split = protected_mask != nullptr;
-  out.rows_covered = df_->num_rows();
-  out.overall = MakeAccum();
-  if (out.split) {
-    out.prot = MakeAccum();
-    out.nonprot = MakeAccum();
-  }
   // Scratch view of `group` restricted to the delta tail: only the words
   // at and past the boundary are copied (the kernel never reads words
   // below word_begin, so the resident words may stay zero), and the
@@ -951,9 +1101,11 @@ CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateDelta(
   if (boundary_bit != 0) {
     sw[word_begin] &= ~((uint64_t{1} << boundary_bit) - 1);
   }
-  AccumulateRange(scratch, protected_mask, word_begin, num_words,
-                  &out.overall, out.split ? &out.prot : nullptr,
-                  out.split ? &out.nonprot : nullptr);
+  SubgroupAccums out = MakeSubgroupAccums(protected_mask != nullptr);
+  const CateStatsEngine* self = this;
+  RecordPass(1);
+  AccumulateRange(&self, 1, scratch, protected_mask, word_begin, num_words,
+                  &out);
   return out;
 }
 
@@ -999,24 +1151,17 @@ void CateStatsEngine::GrowAccum(Accum* acc) const {
 }
 
 CateSubgroupEstimates CateStatsEngine::SolveFromAccums(
-    const SubgroupAccums& accums, const Bitmap& group,
-    const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive) const {
-  // EnsureFp is destructive (it clears int_valid), so solve from copies:
-  // the caller's cached stats stay int-exact and mergeable with future
-  // delta accumulations. The engine's own estimation paths keep the
-  // zero-copy in-place funnel below.
-  Accum overall = accums.overall;
-  Accum prot = accums.prot;
-  Accum nonprot = accums.nonprot;
-  GrowAccum(&overall);
-  GrowAccum(&prot);
-  GrowAccum(&nonprot);
-  EnsureFp(&overall);
-  EnsureFp(&prot);
-  EnsureFp(&nonprot);
-  return SolveSubgroups(overall, prot, nonprot, group, protected_mask,
-                        min_group_size, min_subgroup_size,
+    SubgroupAccums accums, const Bitmap& group, const Bitmap* protected_mask,
+    size_t min_group_size, size_t min_subgroup_size,
+    bool skip_subgroups_unless_positive) const {
+  GrowAccum(&accums.overall);
+  GrowAccum(&accums.prot);
+  GrowAccum(&accums.nonprot);
+  EnsureFp(&accums.overall);
+  EnsureFp(&accums.prot);
+  EnsureFp(&accums.nonprot);
+  return SolveSubgroups(accums.overall, accums.prot, accums.nonprot, group,
+                        protected_mask, min_group_size, min_subgroup_size,
                         skip_subgroups_unless_positive);
 }
 
@@ -1032,23 +1177,27 @@ CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
     const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
     size_t min_subgroup_size, bool skip_subgroups_unless_positive,
     const ShardPlan* plan, TaskGroup* tasks) const {
-  SubgroupAccums acc = AccumulateSubgroups(group, protected_mask, plan, tasks);
-  EnsureFp(&acc.overall);
-  EnsureFp(&acc.prot);
-  EnsureFp(&acc.nonprot);
-  return SolveSubgroups(acc.overall, acc.prot, acc.nonprot, group,
-                        protected_mask, min_group_size, min_subgroup_size,
-                        skip_subgroups_unless_positive);
+  CateSubgroupEstimates out;
+  AccumulateBatch({this}, group, protected_mask, plan, tasks,
+                  [&](size_t, SubgroupAccums accums) {
+                    out = SolveFromAccums(std::move(accums), group,
+                                          protected_mask, min_group_size,
+                                          min_subgroup_size,
+                                          skip_subgroups_unless_positive);
+                  });
+  return out;
 }
 
 Result<CateEstimate> CateStatsEngine::EstimateSubgroup(
     const Bitmap& group, size_t min_group_size) const {
-  Accum acc = MakeAccum();
-  Accum unused_prot, unused_nonprot;
-  Accumulate(group, nullptr, &acc, &unused_prot, &unused_nonprot);
-  EnsureFp(&acc);
-  const Slice whole{&group, nullptr, false};
-  return Solve(acc, whole, min_group_size);
+  Result<CateEstimate> out = Status::Internal("not accumulated");
+  AccumulateBatch({this}, group, /*protected_mask=*/nullptr, /*plan=*/nullptr,
+                  /*tasks=*/nullptr, [&](size_t, SubgroupAccums accums) {
+                    EnsureFp(&accums.overall);
+                    const Slice whole{&group, nullptr, false};
+                    out = Solve(accums.overall, whole, min_group_size);
+                  });
+  return out;
 }
 
 }  // namespace faircap

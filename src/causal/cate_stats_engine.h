@@ -22,18 +22,21 @@
 // coverage, protected, non-protected — is answered by slicing: one
 // word-at-a-time pass ANDs the group mask against the partition,
 // accumulates the cell stats, and solves the small per-subgroup systems
-// instead of rebuilding design matrices. The batch entry point answers
-// the overall / protected / non-protected triple from a single pass by
-// splitting the accumulation on the protected bit, so the non-protected
-// bitmap is never materialized at all.
+// instead of rebuilding design matrices. The pass runs once per (group,
+// partition), not once per treatment: every treatment whose engine shares
+// the partition rides the same walk (AccumulateBatch), which reads each
+// group word, cell id and outcome once and feeds each treatment's sinks
+// with that treatment's arm bit. The overall / protected / non-protected
+// triple comes from the same walk by splitting the accumulation on the
+// protected bit, so the non-protected bitmap is never materialized.
 
 #ifndef FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
 #define FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "causal/estimator.h"
@@ -89,34 +92,28 @@ class ConfounderPartition {
     std::vector<uint32_t> onehot;
   };
 
-  static std::shared_ptr<const ConfounderPartition> Build(
+  /// Fails with InvalidArgument, naming the adjustment set, when the
+  /// joint cell key — a mixed radix over the per-confounder bases — would
+  /// overflow int64: distinct cells would otherwise silently merge.
+  static Result<std::shared_ptr<const ConfounderPartition>> Build(
       const DataFrame& df, size_t outcome_attr,
       const std::vector<size_t>& adjustment, const CateOptions& options);
 
-  /// Copy-extends `base` (built over a prefix of `df`'s rows) to cover all
-  /// of `df` after an append, producing exactly the partition Build would
-  /// return over the concatenated table: delta rows are interned into the
-  /// same cell table (new cells appended in first-appearance order, the
-  /// order a cold build would discover them), the outcome caches grow, and
-  /// the integer-outcome status / overflow budget are re-derived from the
-  /// combined value range. Returns nullptr when the partition is NOT
-  /// extendable and must be rebuilt cold: any numeric confounder (its
-  /// quantile edges shift with the new rows) or a categorical confounder
-  /// that gained categories (the radix bases and one-hot feature layout
-  /// change). `base` itself is never mutated — holders of the old
-  /// partition keep a consistent snapshot.
-  static std::shared_ptr<const ConfounderPartition> ExtendFor(
-      const ConfounderPartition& base, const DataFrame& df);
-
-  /// Copy-free variant of ExtendFor for the quiescent append path:
-  /// interns rows [rows_covered(), df.num_rows()) into this partition
-  /// directly. Returns false — leaving the partition untouched — under
-  /// the same non-extendable conditions as ExtendFor. Every holder of
+  /// Extends this partition in place after an append (quiescent append
+  /// path): interns rows [rows_covered(), df.num_rows()) into the same
+  /// cell table — new cells appended in first-appearance order, the
+  /// order a cold build over the concatenated table would discover them —
+  /// grows the outcome caches and re-derives the integer-outcome status /
+  /// overflow budget from the combined value range, producing exactly the
+  /// partition Build would return over the concatenated table. Returns
+  /// false, leaving the partition untouched, when it must be rebuilt
+  /// cold instead: any numeric confounder (its quantile edges shift with
+  /// the new rows) or a categorical confounder that gained categories
+  /// (the radix bases and one-hot feature layout change). Every holder of
   /// the partition observes the extension, so the caller must guarantee
   /// no estimation queries are in flight (the IncrementalSession::Append
-  /// contract). This is what keeps a 1% append at delta cost: ExtendFor
-  /// pays an O(N) copy of the per-row arrays per adjustment set before
-  /// interning a single delta row.
+  /// contract); in exchange a 1% append costs delta work, with no O(N)
+  /// copy of the per-row arrays.
   bool ExtendInPlace(const DataFrame& df);
 
   const std::vector<Feature>& features() const { return features_; }
@@ -163,12 +160,12 @@ class ConfounderPartition {
   size_t bytes() const { return bytes_; }
 
   /// Rows of the source table this partition covers (its num_rows at
-  /// Build/ExtendFor time). After an append the table outgrows this and
+  /// Build/ExtendInPlace time). After an append the table outgrows this and
   /// the partition is stale until extended or rebuilt.
   size_t rows_covered() const { return rows_covered_; }
 
   /// Identity of this partition's cell numbering: fresh per Build, kept
-  /// by ExtendFor. Two partitions with the same lineage assign identical
+  /// by ExtendInPlace. Two partitions with the same lineage assign identical
   /// cell ids to their common row prefix, so sufficient statistics
   /// accumulated against the older one merge soundly with deltas
   /// accumulated against the newer (core/incremental.h relies on this; a
@@ -179,9 +176,10 @@ class ConfounderPartition {
   ConfounderPartition() = default;
 
   /// Per-confounder layout persisted from Build: design feature span,
-  /// the radix base of the legacy stratum id, and (numeric) the quantile
-  /// edges — everything InternRows needs to intern further rows with the
-  /// exact signatures Build used.
+  /// the radix base of the cell key, and (numeric) the quantile edges —
+  /// everything InternRows needs to intern further rows with the exact
+  /// keys Build used. Digits are the category code or quantile bin;
+  /// a null confounder takes digit base - 1, which no value uses.
   struct ConfLayout {
     size_t attr = 0;
     bool categorical = false;
@@ -193,12 +191,31 @@ class ConfounderPartition {
     std::vector<double> edges;  ///< numeric confounders only
   };
 
-  /// Shared tail of Build and ExtendFor: interns rows [row_begin, n) into
-  /// the cell table and outcome caches, then re-derives the sorted
-  /// stratum order, integer-outcome budget, and byte accounting. The
-  /// feature layout (confs_), numeric caches, and rows [0, row_begin)
-  /// must already be in place.
+  /// Shared tail of Build and ExtendInPlace: interns rows [row_begin, n)
+  /// into the cell table and outcome caches, then re-derives the sorted
+  /// stratum order, integer-outcome budget, and byte accounting. Each
+  /// row's key is the int64 mixed radix of its confounder digits, built
+  /// column-at-a-time over row blocks. The feature layout (confs_),
+  /// numeric caches, and rows [0, row_begin) must already be in place.
   void InternRows(const DataFrame& df, size_t row_begin);
+
+  /// Cell key -> cell index map: open addressing with linear probing over
+  /// power-of-two tables, keys >= 0 (-1 marks an empty slot). Lookup and
+  /// insert only — never iterated, so its layout cannot leak into results.
+  class CellIndex {
+   public:
+    /// The cell of `key`; when absent, inserts `next` and returns it.
+    int32_t FindOrInsert(int64_t key, int32_t next);
+    size_t bytes() const {
+      return keys_.size() * (sizeof(int64_t) + sizeof(int32_t));
+    }
+
+   private:
+    void Grow();
+    std::vector<int64_t> keys_;
+    std::vector<int32_t> cells_;
+    size_t size_ = 0;
+  };
 
   std::vector<Feature> features_;
   std::vector<uint32_t> numeric_features_;
@@ -213,14 +230,12 @@ class ConfounderPartition {
   std::vector<const double*> numeric_value_ptrs_;
   size_t bytes_ = 0;
 
-  // Build-time inputs and intern state persisted so ExtendFor can resume
-  // the interning where Build stopped (same radix bases, same map) and
-  // verify extendability against the post-append table.
+  // Build-time inputs and intern state persisted so ExtendInPlace can
+  // resume the interning where Build stopped (same radix bases, same map)
+  // and verify extendability against the post-append table.
   size_t outcome_attr_ = 0;
   std::vector<ConfLayout> confs_;
-  /// Joint-signature -> cell index intern map (lookup/insert only — never
-  /// iterated, so the unordered order cannot leak into results).
-  std::unordered_map<std::string, int32_t> cell_ids_;
+  CellIndex cell_ids_;
   /// Largest |y| seen (integer outcomes only) — re-derives safe_int_rows_
   /// when delta rows widen the range.
   int64_t max_abs_y_ = 0;
@@ -322,16 +337,34 @@ class CateStatsEngine {
     size_t rows_covered = 0;
   };
 
-  /// Full accumulation pass over `group` (optionally sharded across
-  /// `plan` via `tasks`, partials merged in ascending shard order — the
-  /// same pass EstimateSubgroups runs before its solves). The protected
-  /// split is always filled when `protected_mask` is non-null, so a
-  /// cached result can serve later solves regardless of which subgroups
-  /// they request.
-  SubgroupAccums AccumulateSubgroups(const Bitmap& group,
-                                     const Bitmap* protected_mask,
-                                     const ShardPlan* plan,
-                                     TaskGroup* tasks) const;
+  /// Receives engine `index`'s accums from AccumulateBatch.
+  using AccumsConsumer =
+      std::function<void(size_t index, SubgroupAccums accums)>;
+
+  /// The batched accumulation pass: one walk over `group` (optionally
+  /// sharded across `plan` via `tasks`) fills one SubgroupAccums per
+  /// engine and hands each to `consume`, in engine order. Every engine
+  /// must share one ConfounderPartition and the same options (one
+  /// estimator's engines over one adjustment set). Each engine's accums
+  /// are byte-identical to a pass with that engine alone: the walk feeds
+  /// every treatment's sinks in ascending row order, and each shard fills
+  /// K partials that merge per treatment in ascending shard order. Wide
+  /// batches are split so each walk's accumulators stay cache-resident (a
+  /// fixed rule on cells x K); a chunk's accums are consumed before the
+  /// next chunk walks, so memory is bounded by one chunk, not by K. The
+  /// protected split is always filled when `protected_mask` is non-null,
+  /// so a cached result can serve later solves regardless of which
+  /// subgroups they request.
+  static void AccumulateBatch(
+      const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
+      const Bitmap* protected_mask, const ShardPlan* plan, TaskGroup* tasks,
+      const AccumsConsumer& consume);
+
+  /// Indices of `engines` grouped by shared ConfounderPartition — the
+  /// batches AccumulateBatch accepts. Groups come in first-appearance
+  /// order, indices ascend within each; null entries are left out.
+  static std::vector<std::vector<size_t>> GroupByPartition(
+      const std::vector<const CateStatsEngine*>& engines);
 
   /// Accumulates ONLY rows >= row_begin of `group` — the delta tail of an
   /// append. Because delta rows are strictly after all resident rows,
@@ -350,11 +383,12 @@ class CateStatsEngine {
 
   /// Solves the overall / protected / non-protected estimates from
   /// already-accumulated stats, byte-identical to EstimateSubgroups over
-  /// the same group. Works on copies of the accums: the caller's stats
-  /// stay int-valid and mergeable (EnsureFp is destructive). `group` /
+  /// the same group. Takes the accums by value (EnsureFp is destructive):
+  /// a caller that keeps its stats int-valid and mergeable passes a copy,
+  /// one that is done with them moves them in. `group` /
   /// `protected_mask` are needed only by the IPW row-fallback re-walk.
   CateSubgroupEstimates SolveFromAccums(
-      const SubgroupAccums& accums, const Bitmap& group,
+      SubgroupAccums accums, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_group_size,
       size_t min_subgroup_size,
       bool skip_subgroups_unless_positive = false) const;
@@ -376,15 +410,24 @@ class CateStatsEngine {
     bool protected_member = false;           ///< filter polarity
   };
 
-  void Accumulate(const Bitmap& group, const Bitmap* protected_mask,
-                  Accum* overall, Accum* prot, Accum* nonprot) const;
+  /// Fresh accums for one treatment (split iff `split`).
+  SubgroupAccums MakeSubgroupAccums(bool split) const;
 
-  /// Accumulation restricted to bitmap words [word_begin, word_end) — the
-  /// per-shard view. Accumulate() is exactly the full-range call, so the
-  /// single-shard plan reproduces the unsharded pass bit for bit.
-  void AccumulateRange(const Bitmap& group, const Bitmap* protected_mask,
-                       size_t word_begin, size_t word_end, Accum* overall,
-                       Accum* prot, Accum* nonprot) const;
+  /// One batched walk over bitmap words [word_begin, word_end) — the
+  /// per-shard view — into `outs[k]` (fresh, from MakeSubgroupAccums) for
+  /// `engines[k]`, k < count. The unsharded pass is exactly the
+  /// full-range call.
+  static void AccumulateRange(const CateStatsEngine* const* engines,
+                              size_t count, const Bitmap& group,
+                              const Bitmap* protected_mask, size_t word_begin,
+                              size_t word_end, SubgroupAccums* outs);
+
+  /// AccumulateBatch for one cache-sized chunk of engines.
+  static void AccumulateChunk(const CateStatsEngine* const* engines,
+                              size_t count, const Bitmap& group,
+                              const Bitmap* protected_mask,
+                              const ShardPlan* plan, TaskGroup* tasks,
+                              SubgroupAccums* outs);
 
   /// Element-wise `into += from` over every statistic (counts, outcome
   /// sums, numeric moments) — the shard-merge step. Integer partials

@@ -419,7 +419,7 @@ Result<CateEstimate> CateEstimator::EstimateIpw(
                           options_.propensity_clip);
 }
 
-std::shared_ptr<const ConfounderPartition> CateEstimator::PartitionFor(
+Result<std::shared_ptr<const ConfounderPartition>> CateEstimator::PartitionFor(
     const std::vector<size_t>& adjustment) const {
   const std::string key = AdjustmentKey(adjustment);
   {
@@ -435,8 +435,9 @@ std::shared_ptr<const ConfounderPartition> CateEstimator::PartitionFor(
   }
   // Build outside the lock; a racing duplicate build is identical and the
   // first insertion wins.
-  std::shared_ptr<const ConfounderPartition> built =
-      ConfounderPartition::Build(*df_, outcome_attr_, adjustment, options_);
+  FAIRCAP_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ConfounderPartition> built,
+      ConfounderPartition::Build(*df_, outcome_attr_, adjustment, options_));
   MutexLock lock(*mu_);
   auto& slot = partitions_[key];
   if (auto alive = slot.lock()) {
@@ -509,8 +510,8 @@ Result<std::shared_ptr<const CateStatsEngine>> CateEstimator::EngineFor(
   }
   FAIRCAP_ASSIGN_OR_RETURN(const std::vector<size_t> adjustment,
                            AdjustmentAttrs(intervention));
-  std::shared_ptr<const ConfounderPartition> partition =
-      PartitionFor(adjustment);
+  FAIRCAP_ASSIGN_OR_RETURN(std::shared_ptr<const ConfounderPartition> partition,
+                           PartitionFor(adjustment));
   std::shared_ptr<const Bitmap> treated = TreatedMask(intervention);
   auto engine = std::make_shared<const CateStatsEngine>(
       df_, options_, adjustment, std::move(treated), std::move(partition));
@@ -555,17 +556,56 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
     const Bitmap* protected_mask, size_t min_subgroup_size,
     bool skip_subgroups_unless_positive, const ShardPlan* plan,
     TaskGroup* tasks) const {
+  return std::move(EstimateSubgroupsBatch({intervention}, group,
+                                          protected_mask, min_subgroup_size,
+                                          skip_subgroups_unless_positive, plan,
+                                          tasks)[0]);
+}
+
+std::vector<Result<CateSubgroupEstimates>>
+CateEstimator::EstimateSubgroupsBatch(
+    const std::vector<Pattern>& interventions, const Bitmap& group,
+    const Bitmap* protected_mask, size_t min_subgroup_size,
+    bool skip_subgroups_unless_positive, const ShardPlan* plan,
+    TaskGroup* tasks) const {
   static obs::Counter& batch_evals =
       obs::MetricsRegistry::Global().GetCounter("estimation.batch_evals");
-  batch_evals.Increment();
-  FAIRCAP_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const CateStatsEngine> engine,
-      EngineFor(intervention));
+  batch_evals.Add(interventions.size());
   const size_t min_sub = min_subgroup_size != 0 ? min_subgroup_size
                                                 : options_.min_group_size;
-  return engine->EstimateSubgroups(group, protected_mask,
-                                   options_.min_group_size, min_sub,
-                                   skip_subgroups_unless_positive, plan, tasks);
+  std::vector<Result<CateSubgroupEstimates>> out;
+  out.reserve(interventions.size());
+  // Held for the whole call: a budget-capped cache may evict an engine
+  // while later ones are built.
+  std::vector<std::shared_ptr<const CateStatsEngine>> held;
+  held.reserve(interventions.size());
+  std::vector<const CateStatsEngine*> engines(interventions.size(), nullptr);
+  for (size_t i = 0; i < interventions.size(); ++i) {
+    Result<std::shared_ptr<const CateStatsEngine>> engine =
+        EngineFor(interventions[i]);
+    if (engine.ok()) {
+      held.push_back(std::move(engine).ValueOrDie());
+      engines[i] = held.back().get();
+      out.emplace_back(CateSubgroupEstimates{});
+    } else {
+      out.emplace_back(engine.status());
+    }
+  }
+  for (const std::vector<size_t>& batch :
+       CateStatsEngine::GroupByPartition(engines)) {
+    std::vector<const CateStatsEngine*> members;
+    members.reserve(batch.size());
+    for (size_t i : batch) members.push_back(engines[i]);
+    CateStatsEngine::AccumulateBatch(
+        members, group, protected_mask, plan, tasks,
+        [&](size_t j, CateStatsEngine::SubgroupAccums accums) {
+          out[batch[j]] = members[j]->SolveFromAccums(
+              std::move(accums), group, protected_mask,
+              options_.min_group_size, min_sub,
+              skip_subgroups_unless_positive);
+        });
+  }
+  return out;
 }
 
 CateEstimator::AppendRefreshStats CateEstimator::NotifyAppend() {
@@ -599,10 +639,9 @@ CateEstimator::AppendRefreshStats CateEstimator::NotifyAppend() {
 
   // Extend each live partition once — it is shared by every engine over
   // the same adjustment set, so the delta-intern cost is paid per
-  // adjustment key, not per treatment. Extension happens in place: the
-  // session Append contract guarantees no queries are in flight, and the
-  // ExtendFor copy (O(N) per-row arrays per adjustment set) was the
-  // dominant cost of a small append at scale.
+  // adjustment key, not per treatment. Extension happens in place (the
+  // session Append contract guarantees no queries are in flight), so a
+  // small append never pays an O(N) copy of the per-row arrays.
   std::unordered_map<const ConfounderPartition*,
                      std::shared_ptr<const ConfounderPartition>>
       extended;

@@ -147,9 +147,23 @@ class CateEstimator {
       bool skip_subgroups_unless_positive, const ShardPlan* plan,
       TaskGroup* tasks) const;
 
+  /// Treatment-batched form of EstimateSubgroups: one result per
+  /// intervention, in order, each byte-identical to its own
+  /// EstimateSubgroups call. Interventions whose engines share a
+  /// confounder partition (same adjustment set) are accumulated by one
+  /// walk over `group` (CateStatsEngine::AccumulateBatch) instead of one
+  /// walk each. A failed engine lookup fails only its own entry.
+  std::vector<Result<CateSubgroupEstimates>> EstimateSubgroupsBatch(
+      const std::vector<Pattern>& interventions, const Bitmap& group,
+      const Bitmap* protected_mask, size_t min_subgroup_size,
+      bool skip_subgroups_unless_positive, const ShardPlan* plan,
+      TaskGroup* tasks) const;
+
   /// The cached sufficient-statistics engine for `intervention`, built on
   /// first use. Shared ownership: the engine stays valid for the holder
-  /// even if the budgeted LRU cache evicts it mid-use.
+  /// even if the budgeted LRU cache evicts it mid-use. Fails with
+  /// InvalidArgument when the intervention's adjustment set is too wide
+  /// for the partition's int64 cell key (ConfounderPartition::Build).
   Result<std::shared_ptr<const CateStatsEngine>> EngineFor(
       const Pattern& intervention) const;
 
@@ -162,7 +176,7 @@ class CateEstimator {
   /// What an append-refresh did to the cached state (tests and the
   /// append.* run-report counters).
   struct AppendRefreshStats {
-    size_t partitions_extended = 0;  ///< copy-extended by whole delta rows
+    size_t partitions_extended = 0;  ///< extended in place by the delta rows
     size_t partitions_rebuilt = 0;   ///< not extendable; dropped for cold rebuild
     size_t engines_refreshed = 0;    ///< rebuilt onto extended partition + mask
     size_t engines_dropped = 0;      ///< erased (their partition was dropped)
@@ -171,9 +185,9 @@ class CateEstimator {
   /// Brings the cached state current after rows were appended to the
   /// table (DataFrame::AppendFrame). Per-row stratum ids are dropped
   /// (cheap to rebuild); adjustment sets are kept (schema/DAG-only).
-  /// Every live confounder partition is copy-extended over the delta
+  /// Every live confounder partition is extended in place over the delta
   /// rows where possible (purely categorical confounders with no new
-  /// categories — see ConfounderPartition::ExtendFor) and each cached
+  /// categories — see ConfounderPartition::ExtendInPlace) and each cached
   /// engine is re-pointed at the extended partition and the lazily
   /// extended treated mask; engines whose partition could not be
   /// extended are evicted and rebuilt cold on next use. Must not run
@@ -236,7 +250,7 @@ class CateEstimator {
   /// Confounder partition for `adjustment`, built once and shared across
   /// every treatment with the same attributes (weak-cached: alive as long
   /// as some engine holds it).
-  std::shared_ptr<const ConfounderPartition> PartitionFor(
+  Result<std::shared_ptr<const ConfounderPartition>> PartitionFor(
       const std::vector<size_t>& adjustment) const;
 
   /// Evicts LRU engines while over the engine budget. Caller holds mu_.

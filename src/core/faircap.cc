@@ -176,12 +176,12 @@ PrescriptionRule FairCap::CostRule(const Pattern& grouping,
     // append).
     const Result<CateSubgroupEstimates> batch =
         options_.incremental_state != nullptr
-            ? options_.incremental_state->EstimateWithCache(
-                  estimator_, grouping.Key(), intervention, rule.coverage,
+            ? std::move(options_.incremental_state->EstimateWithCache(
+                  estimator_, grouping.Key(), {intervention}, rule.coverage,
                   protected_mask_, /*want_subgroups=*/true,
                   options_.min_subgroup_arm,
                   /*skip_subgroups_unless_positive=*/false,
-                  /*plan=*/nullptr, /*tasks=*/nullptr)
+                  /*plan=*/nullptr, /*tasks=*/nullptr)[0])
             : estimator_.EstimateSubgroups(intervention, rule.coverage,
                                            &protected_mask_,
                                            options_.min_subgroup_arm);
@@ -333,38 +333,11 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
       coverage_nonprotected.AndNot(protected_mask_);
     }
 
-    TreatmentEvaluator evaluator =
-        [&](const Pattern& intervention) -> std::optional<TreatmentEval> {
-      const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
-      // Gather the overall estimate (and, on the batch path, the
-      // protected / non-protected slice from the same one-pass engine).
-      CateSubgroupEstimates ests;
-      if (options_.use_batch_estimator) {
-        // Each evaluation gets its own TaskGroup as the barrier for its
-        // shard fan-out — child tasks of this pattern task, executed by
-        // whichever workers are free (Wait helps, so this is legal from
-        // inside the pattern task).
-        TaskGroup shard_tasks(scheduler.get());
-        Result<CateSubgroupEstimates> batch =
-            inc != nullptr
-                ? inc->EstimateWithCache(
-                      estimator_, group_key, intervention, group.coverage,
-                      protected_mask_,
-                      /*want_subgroups=*/needs_group_utilities,
-                      options_.min_subgroup_arm,
-                      /*skip_subgroups_unless_positive=*/true, eval_plan,
-                      eval_plan != nullptr ? &shard_tasks : nullptr)
-                : estimator_.EstimateSubgroups(
-                      intervention, group.coverage,
-                      needs_group_utilities ? &protected_mask_ : nullptr,
-                      options_.min_subgroup_arm,
-                      /*skip_subgroups_unless_positive=*/true, eval_plan,
-                      eval_plan != nullptr ? &shard_tasks : nullptr);
-        if (!batch.ok()) return std::nullopt;
-        ests = std::move(batch).ValueOrDie();
-      } else {
-        ests.overall = estimator_.Estimate(intervention, group.coverage);
-      }
+    // Scores one treatment from its overall (and, on the batch path,
+    // protected / non-protected) estimates.
+    const auto score = [&](const Pattern& intervention,
+                           CateSubgroupEstimates ests)
+        -> std::optional<TreatmentEval> {
       if (!ests.overall.ok()) return std::nullopt;
       const CateEstimate& overall = *ests.overall;
       TreatmentEval eval;
@@ -431,6 +404,53 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
         eval.score = overall.cate;
       }
       return eval;
+    };
+
+    TreatmentEvaluator evaluator =
+        [&](const std::vector<Pattern>& interventions)
+        -> std::vector<std::optional<TreatmentEval>> {
+      const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
+      std::vector<std::optional<TreatmentEval>> evals;
+      evals.reserve(interventions.size());
+      if (!options_.use_batch_estimator) {
+        for (const Pattern& intervention : interventions) {
+          CateSubgroupEstimates ests;
+          ests.overall = estimator_.Estimate(intervention, group.coverage);
+          evals.push_back(score(intervention, std::move(ests)));
+        }
+        return evals;
+      }
+      // One batch per lattice level: treatments sharing a confounder
+      // partition ride one accumulation walk over the group (and, with
+      // fairness, its protected split). The level gets its own TaskGroup
+      // as the barrier for the walks' shard fan-out — child tasks of this
+      // pattern task, executed by whichever workers are free (Wait helps,
+      // so this is legal from inside the pattern task).
+      TaskGroup shard_tasks(scheduler.get());
+      TaskGroup* tasks = eval_plan != nullptr ? &shard_tasks : nullptr;
+      std::vector<Result<CateSubgroupEstimates>> batch =
+          inc != nullptr
+              ? inc->EstimateWithCache(
+                    estimator_, group_key, interventions, group.coverage,
+                    protected_mask_,
+                    /*want_subgroups=*/needs_group_utilities,
+                    options_.min_subgroup_arm,
+                    /*skip_subgroups_unless_positive=*/true, eval_plan, tasks)
+              : estimator_.EstimateSubgroupsBatch(
+                    interventions, group.coverage,
+                    needs_group_utilities ? &protected_mask_ : nullptr,
+                    options_.min_subgroup_arm,
+                    /*skip_subgroups_unless_positive=*/true, eval_plan,
+                    tasks);
+      for (size_t i = 0; i < interventions.size(); ++i) {
+        if (!batch[i].ok()) {
+          evals.push_back(std::nullopt);
+          continue;
+        }
+        evals.push_back(
+            score(interventions[i], std::move(batch[i]).ValueOrDie()));
+      }
+      return evals;
     };
 
     const LatticeResult lattice = TraverseInterventionLattice(

@@ -151,71 +151,98 @@ size_t IncrementalState::AccumBytes(
   return one(accums.overall) + one(accums.prot) + one(accums.nonprot);
 }
 
-Result<CateSubgroupEstimates> IncrementalState::EstimateWithCache(
+std::vector<Result<CateSubgroupEstimates>> IncrementalState::EstimateWithCache(
     const CateEstimator& estimator, const std::string& group_key,
-    const Pattern& intervention, const Bitmap& group,
+    const std::vector<Pattern>& interventions, const Bitmap& group,
     const Bitmap& protected_mask, bool want_subgroups,
     size_t min_subgroup_size, bool skip_subgroups_unless_positive,
     const ShardPlan* plan, TaskGroup* tasks) {
-  FAIRCAP_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const CateStatsEngine> engine,
-      estimator.EngineFor(intervention));
   const size_t min_group = estimator.options().min_group_size;
   const size_t min_sub =
       min_subgroup_size != 0 ? min_subgroup_size : min_group;
-  const size_t num_rows = engine->treated().size();
-  const uint64_t lineage = engine->partition().lineage_id();
   const Bitmap* mask = want_subgroups ? &protected_mask : nullptr;
-  const std::string key = group_key + "|" + intervention.Key();
+  std::vector<Result<CateSubgroupEstimates>> out;
+  out.reserve(interventions.size());
 
-  AccumEntry* entry = nullptr;
-  {
-    MutexLock lock(mu_);
-    const auto it = accums_.find(key);
-    if (it != accums_.end()) entry = it->second.get();
-  }
-  // A hit is serveable only against the exact cell numbering it was
-  // accumulated under: the lineage id changes whenever a partition is
-  // rebuilt cold (copy-extension inherits it), so a stale accum can
-  // never be merged against re-numbered cells.
-  if (entry != nullptr && entry->lineage == lineage &&
-      entry->accums.rows_covered <= num_rows) {
+  // Cache misses, collected for one batched pass per partition below.
+  std::vector<std::shared_ptr<const CateStatsEngine>> held;
+  held.reserve(interventions.size());
+  std::vector<const CateStatsEngine*> misses(interventions.size(), nullptr);
+  for (size_t i = 0; i < interventions.size(); ++i) {
+    Result<std::shared_ptr<const CateStatsEngine>> found =
+        estimator.EngineFor(interventions[i]);
+    if (!found.ok()) {
+      out.emplace_back(found.status());
+      continue;
+    }
+    held.push_back(std::move(found).ValueOrDie());
+    const CateStatsEngine& engine = *held.back();
+    const size_t num_rows = engine.treated().size();
+    const std::string key = group_key + "|" + interventions[i].Key();
+    AccumEntry* entry = nullptr;
+    {
+      MutexLock lock(mu_);
+      const auto it = accums_.find(key);
+      if (it != accums_.end()) entry = it->second.get();
+    }
+    // A hit is serveable only against the exact cell numbering it was
+    // accumulated under: the lineage id changes whenever a partition is
+    // rebuilt cold (in-place extension keeps it), so a stale accum can
+    // never be merged against re-numbered cells.
+    if (entry == nullptr ||
+        entry->lineage != engine.partition().lineage_id() ||
+        entry->accums.rows_covered > num_rows) {
+      misses[i] = &engine;
+      out.emplace_back(CateSubgroupEstimates{});
+      continue;
+    }
     FAIRCAP_CHECK(entry->accums.split);
     if (entry->accums.rows_covered < num_rows) {
       const size_t old_bytes = AccumBytes(entry->accums);
-      const CateStatsEngine::SubgroupAccums delta = engine->AccumulateDelta(
+      const CateStatsEngine::SubgroupAccums delta = engine.AccumulateDelta(
           group, &protected_mask, entry->accums.rows_covered);
-      engine->MergeSubgroupAccums(&entry->accums, delta);
+      engine.MergeSubgroupAccums(&entry->accums, delta);
       Metrics().evals_delta.Increment();
       MutexLock lock(mu_);
       accum_bytes_ += AccumBytes(entry->accums) - old_bytes;
     } else {
       Metrics().evals_cached.Increment();
     }
-    return engine->SolveFromAccums(entry->accums, group, mask, min_group,
-                                   min_sub, skip_subgroups_unless_positive);
+    out.emplace_back(engine.SolveFromAccums(entry->accums, group, mask,
+                                            min_group, min_sub,
+                                            skip_subgroups_unless_positive));
   }
 
-  // Miss (or stale lineage): full pass — sharded exactly like the
-  // non-caching path, so a cold-cache run is bit-identical to one with
-  // no IncrementalState at all. The accumulation is always split on the
-  // protected mask so one cached shape serves both the fairness-aware
-  // evaluator and rule costing.
-  auto fresh = std::make_unique<AccumEntry>();
-  fresh->lineage = lineage;
-  fresh->accums =
-      engine->AccumulateSubgroups(group, &protected_mask, plan, tasks);
-  const CateSubgroupEstimates out =
-      engine->SolveFromAccums(fresh->accums, group, mask, min_group, min_sub,
-                              skip_subgroups_unless_positive);
-  Metrics().evals_full.Increment();
-  const size_t bytes = AccumBytes(fresh->accums);
-  {
-    MutexLock lock(mu_);
-    auto& slot = accums_[key];
-    if (slot != nullptr) accum_bytes_ -= AccumBytes(slot->accums);
-    slot = std::move(fresh);
-    accum_bytes_ += bytes;
+  // Misses (or stale lineages): full passes — batched per partition and
+  // sharded exactly like the non-caching path, so a cold-cache run is
+  // bit-identical to one with no IncrementalState at all. The
+  // accumulation is always split on the protected mask so one cached
+  // shape serves both the fairness-aware evaluator and rule costing.
+  for (const std::vector<size_t>& batch :
+       CateStatsEngine::GroupByPartition(misses)) {
+    std::vector<const CateStatsEngine*> members;
+    members.reserve(batch.size());
+    for (size_t i : batch) members.push_back(misses[i]);
+    CateStatsEngine::AccumulateBatch(
+        members, group, &protected_mask, plan, tasks,
+        [&](size_t j, CateStatsEngine::SubgroupAccums accums) {
+          const CateStatsEngine& engine = *members[j];
+          auto fresh = std::make_unique<AccumEntry>();
+          fresh->lineage = engine.partition().lineage_id();
+          fresh->accums = std::move(accums);
+          out[batch[j]] = engine.SolveFromAccums(
+              fresh->accums, group, mask, min_group, min_sub,
+              skip_subgroups_unless_positive);
+          Metrics().evals_full.Increment();
+          const size_t bytes = AccumBytes(fresh->accums);
+          const std::string key =
+              group_key + "|" + interventions[batch[j]].Key();
+          MutexLock lock(mu_);
+          auto& slot = accums_[key];
+          if (slot != nullptr) accum_bytes_ -= AccumBytes(slot->accums);
+          slot = std::move(fresh);
+          accum_bytes_ += bytes;
+        });
   }
   return out;
 }

@@ -81,18 +81,18 @@ class IncrementalState {
                   size_t num_evaluated);
 
   /// Accum-level reuse: the drop-in replacement for
-  /// CateEstimator::EstimateSubgroups on the batch path. Accumulation is
-  /// always split on `protected_mask` so one cached shape serves both
-  /// the fairness-aware evaluator and rule costing; `want_subgroups`
-  /// controls which solves run. Cache hit with matching partition
-  /// lineage: accumulate only the delta rows and merge
-  /// (`append.evals_delta`), or solve straight from the cache when
-  /// already current (`append.evals_cached`). Miss or stale lineage:
-  /// full (optionally sharded) pass, cached for next time
-  /// (`append.evals_full`).
-  Result<CateSubgroupEstimates> EstimateWithCache(
+  /// CateEstimator::EstimateSubgroupsBatch on the batch path (one result
+  /// per intervention, in order). Accumulation is always split on
+  /// `protected_mask` so one cached shape serves both the fairness-aware
+  /// evaluator and rule costing; `want_subgroups` controls which solves
+  /// run. Cache hit with matching partition lineage: accumulate only the
+  /// delta rows and merge (`append.evals_delta`), or solve straight from
+  /// the cache when already current (`append.evals_cached`). Misses and
+  /// stale lineages are batched: one full (optionally sharded) pass per
+  /// confounder partition, cached for next time (`append.evals_full`).
+  std::vector<Result<CateSubgroupEstimates>> EstimateWithCache(
       const CateEstimator& estimator, const std::string& group_key,
-      const Pattern& intervention, const Bitmap& group,
+      const std::vector<Pattern>& interventions, const Bitmap& group,
       const Bitmap& protected_mask, bool want_subgroups,
       size_t min_subgroup_size, bool skip_subgroups_unless_positive,
       const ShardPlan* plan, TaskGroup* tasks);
@@ -152,7 +152,7 @@ class IncrementalSession {
 
   /// Appends `delta`'s rows (same schema) to the table and refreshes all
   /// cached state: predicate-index masks extend lazily, confounder
-  /// partitions and engines are copy-extended where possible, and the
+  /// partitions and engines are extended in place where possible, and the
   /// incremental caches are validated (or cleared when the delta voids
   /// them). Counts append.rows_appended / append.batches.
   Status Append(const DataFrame& delta);

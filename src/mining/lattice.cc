@@ -4,6 +4,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "util/logging.h"
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 
@@ -65,22 +66,48 @@ LatticeResult TraverseInterventionLattice(
     }
   };
 
+  // Evaluates one level's candidates as a batch, truncated to the
+  // remaining budget, and consumes the results in candidate order.
+  // `on_eval` sees each estimable candidate; returns false when the
+  // budget cut the level short.
+  const auto evaluate_level = [&](std::vector<Node>& candidates,
+                                  const auto& on_eval) {
+    const size_t budget = options.max_evaluations - result.num_evaluated;
+    const bool truncated = candidates.size() > budget;
+    if (truncated) candidates.resize(budget);
+    if (candidates.empty()) return !truncated;
+    std::vector<Pattern> patterns;
+    patterns.reserve(candidates.size());
+    for (const Node& node : candidates) patterns.push_back(node.pattern);
+    const std::vector<std::optional<TreatmentEval>> evals =
+        evaluator(patterns);
+    FAIRCAP_CHECK(evals.size() == patterns.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      ++result.num_evaluated;
+      if (!evals[i].has_value()) continue;
+      consider(candidates[i].pattern, *evals[i]);
+      if (evals[i]->cate > 0.0) {
+        result.positive.emplace_back(candidates[i].pattern, *evals[i]);
+      }
+      on_eval(std::move(candidates[i]), *evals[i]);
+    }
+    return !truncated;
+  };
+
   // Level 1: every atom.
-  std::vector<Node> level;
+  std::vector<Node> candidates;
+  candidates.reserve(atoms.size());
   for (uint32_t i = 0; i < atoms.size(); ++i) {
-    if (result.num_evaluated >= options.max_evaluations) return result;
-    Pattern pattern = Pattern().With(atoms[i]);
-    const auto eval = evaluator(pattern);
-    ++result.num_evaluated;
-    if (!eval.has_value()) continue;
-    consider(pattern, *eval);
-    if (eval->cate > 0.0) {
-      result.positive.emplace_back(pattern, *eval);
-    }
-    if (eval->cate > 0.0 || !options.require_positive_parents) {
-      level.push_back({{i}, std::move(pattern)});
-    }
+    candidates.push_back({{i}, Pattern().With(atoms[i])});
   }
+  std::vector<Node> level;
+  const bool level1_done =
+      evaluate_level(candidates, [&](Node node, const TreatmentEval& eval) {
+        if (eval.cate > 0.0 || !options.require_positive_parents) {
+          level.push_back(std::move(node));
+        }
+      });
+  if (!level1_done) return result;
 
   // Track which atom-id sets had positive CATE so children can check that
   // every parent was positive before materializing.
@@ -96,8 +123,9 @@ LatticeResult TraverseInterventionLattice(
   for (const Node& node : level) positive_keys.insert(key_of(node.atom_ids));
 
   for (size_t k = 2; k <= options.max_predicates && level.size() > 1; ++k) {
-    std::vector<Node> next;
-    std::unordered_set<std::string> next_keys;
+    // Children depend only on the previous level's positive set, so the
+    // whole level is materialized before any of it is evaluated.
+    candidates.clear();
     for (size_t a = 0; a < level.size(); ++a) {
       for (size_t b = a + 1; b < level.size(); ++b) {
         const auto& ia = level[a].atom_ids;
@@ -128,22 +156,21 @@ LatticeResult TraverseInterventionLattice(
           }
           if (!all_parents_positive) continue;
         }
-
-        if (result.num_evaluated >= options.max_evaluations) return result;
-        Pattern pattern = level[a].pattern.With(atoms[last_b]);
-        const auto eval = evaluator(pattern);
-        ++result.num_evaluated;
-        if (!eval.has_value()) continue;
-        consider(pattern, *eval);
-        if (eval->cate > 0.0) {
-          result.positive.emplace_back(pattern, *eval);
-          next_keys.insert(key_of(candidate));
-        }
-        if (eval->cate > 0.0 || !options.require_positive_parents) {
-          next.push_back({std::move(candidate), std::move(pattern)});
-        }
+        candidates.push_back(
+            {std::move(candidate), level[a].pattern.With(atoms[last_b])});
       }
     }
+
+    std::vector<Node> next;
+    std::unordered_set<std::string> next_keys;
+    const bool level_done =
+        evaluate_level(candidates, [&](Node node, const TreatmentEval& eval) {
+          if (eval.cate > 0.0) next_keys.insert(key_of(node.atom_ids));
+          if (eval.cate > 0.0 || !options.require_positive_parents) {
+            next.push_back(std::move(node));
+          }
+        });
+    if (!level_done) return result;
     level = std::move(next);
     positive_keys = std::move(next_keys);
   }

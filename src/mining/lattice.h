@@ -37,17 +37,23 @@ struct TreatmentEval {
   bool has_subgroup_utilities = false;
 };
 
-/// Evaluates an intervention pattern for a fixed grouping pattern.
-/// Returns nullopt when the effect cannot be estimated (no overlap, group
-/// too small). `cate` drives lattice pruning; `score` drives selection.
+/// Evaluates a batch of intervention patterns for a fixed grouping
+/// pattern — one lattice level at a time, so the evaluator can share work
+/// across the level (one accumulation walk per confounder partition).
+/// Returns one entry per pattern, in order; an entry is nullopt when that
+/// effect cannot be estimated (no overlap, group too small). `cate`
+/// drives lattice pruning; `score` drives selection.
 using TreatmentEvaluator =
-    std::function<std::optional<TreatmentEval>(const Pattern&)>;
+    std::function<std::vector<std::optional<TreatmentEval>>(
+        const std::vector<Pattern>&)>;
 
 /// Tuning knobs for the traversal.
 struct LatticeOptions {
   /// Maximum number of predicates in an intervention pattern.
   size_t max_predicates = 2;
-  /// Safety cap on evaluator invocations per traversal.
+  /// Safety cap on patterns evaluated per traversal. A level that would
+  /// cross it is truncated in candidate order, so the cap lands on the
+  /// same pattern as a one-at-a-time traversal.
   size_t max_evaluations = 50000;
   /// The Section 5.2 pruning rule: materialize a node only when every
   /// parent had positive CATE. Disable for the ablation study (children
@@ -71,7 +77,11 @@ struct LatticeResult {
 std::vector<Predicate> EnumerateInterventionAtoms(
     const DataFrame& df, const std::vector<size_t>& mutable_attrs);
 
-/// Traverses the lattice and returns the best feasible treatment.
+/// Traverses the lattice and returns the best feasible treatment. Each
+/// level's candidates are built in full, truncated to the remaining
+/// max_evaluations budget, evaluated as one batch, and consumed in
+/// candidate order — so `best` (first of equal scores wins), `positive`
+/// and `num_evaluated` are those of a one-pattern-at-a-time traversal.
 LatticeResult TraverseInterventionLattice(
     const DataFrame& df, const std::vector<size_t>& mutable_attrs,
     const TreatmentEvaluator& evaluator, const LatticeOptions& options = {});

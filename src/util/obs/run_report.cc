@@ -44,9 +44,11 @@ constexpr const char* kStandardCounters[] = {
     "estimation.accumulate_path_fp_staged",
     "estimation.accumulate_path_sparse",
     "estimation.accumulate_int_fallbacks",
+    "estimation.batched_passes",
     "mining.lattice_evaluations",
     "mining.pattern_tasks",
     "simd.cate_accumulate_rows",
+    "simd.cate_walk_rows",
     // Incremental append + delta-aware re-mining (core/incremental.h,
     // dataframe/predicate_index.h, causal/estimator.h).
     "append.rows_appended",
@@ -80,12 +82,17 @@ constexpr const char* kStandardGauges[] = {
     "simd.level",
 };
 
+constexpr const char* kStandardHistograms[] = {
+    "estimation.batch_width",
+};
+
 }  // namespace
 
 void EnsureStandardMetricsRegistered() {
   MetricsRegistry& registry = MetricsRegistry::Global();
   for (const char* name : kStandardCounters) registry.GetCounter(name);
   for (const char* name : kStandardGauges) registry.GetGauge(name);
+  for (const char* name : kStandardHistograms) registry.GetHistogram(name);
 }
 
 void WriteRunReport(std::ostream& out) {

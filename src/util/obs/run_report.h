@@ -18,10 +18,11 @@
 //                       numeric_order_bytes },
 //     "engine_cache": { hits, misses, evictions, bytes },
 //     "ingest":       { runs, rows, bytes, chunks, segments },
-//     "simd":         { level, level_name },
-//     "estimation":   { legacy_calls, batch_evals, solve_regression,
-//                       solve_stratified, solve_ipw_cells,
-//                       solve_ipw_rows },
+//     "simd":         { level, level_name, cate_walk_rows },
+//     "estimation":   { legacy_calls, batch_evals, batched_passes,
+//                       batch_width {count, sum, buckets},
+//                       solve_regression, solve_stratified,
+//                       solve_ipw_cells, solve_ipw_rows },
 //     "mining":       { lattice_evaluations, pattern_tasks, ... }
 //   }
 // Extra metrics registered by future subsystems appear as extra keys /

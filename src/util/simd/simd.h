@@ -83,11 +83,10 @@ enum class Cmp : int { kEq = 0, kNe = 1, kLt = 2, kLe = 3, kGt = 4, kGe = 5 };
 /// One subgroup accumulator's raw statistic slots (the kernel-facing view
 /// of CateStatsEngine::Accum). All arrays are cell-major with two arms
 /// (idx = 2*cell + arm); the z* arrays are null unless moments are
-/// accumulated.
+/// accumulated. The kernels keep no row or arm counters: the caller
+/// derives them from n[] after the pass (scratch slots excluded), which
+/// keeps the per-row loop free of arm and protected-bit branches.
 struct CateSink {
-  size_t* rows = nullptr;       ///< subgroup rows with non-null outcome
-  size_t* n_treated = nullptr;
-  size_t* n_control = nullptr;
   uint32_t* n = nullptr;        ///< [2C + 2] (two scratch slots, see below)
   double* sy = nullptr;         ///< [2C + 2]
   double* syy = nullptr;        ///< [2C + 2]
@@ -103,13 +102,26 @@ struct CateSink {
   int64_t* isyy = nullptr;
 };
 
-/// Inputs of the fused accumulation pass: three bitmaps walked in
-/// lockstep over one word range, the row->cell map, the outcome cache
-/// line, and (for the regression-with-numeric-confounders case) the
-/// cached numeric confounder columns.
+/// One treatment of a batched pass: its treated-arm mask (drives the arm
+/// bit) and its overall / protected / non-protected sinks. The subgroup
+/// sinks are unused without a protected split.
+struct CateTreatmentSinks {
+  const uint64_t* treated_words = nullptr;
+  CateSink overall;
+  CateSink prot;
+  CateSink nonprot;
+};
+
+/// Inputs of the batched accumulation pass: ONE walk over the group
+/// (plus optional protected) bitmap for one word range serves every
+/// treatment in `treatments` — all of them share the row->cell map, the
+/// outcome cache and (for the regression-with-numeric-confounders case)
+/// the cached numeric confounder columns. Each word's rows are extracted
+/// once and replayed into every treatment's sinks, so each sink still
+/// receives its adds in ascending row order, exactly as a single-treatment
+/// pass would (a pass with num_treatments == 1 is that pass).
 struct CateAccumArgs {
   const uint64_t* group_words = nullptr;
-  const uint64_t* treated_words = nullptr;
   /// Null: no protected split (prot/nonprot sinks unused).
   const uint64_t* protected_words = nullptr;
   const int32_t* cell_of_row = nullptr;  ///< -1 = excluded row
@@ -132,15 +144,16 @@ struct CateAccumArgs {
   /// every per-slot partial |Σy| and Σy² provably stays below 2^53 (so
   /// both the int64 totals and the legacy FP partial sums are exact).
   /// cate_accumulate_int falls back to the FP path once a word would
-  /// cross this budget.
+  /// cross this budget; rows walked are the same for every treatment, so
+  /// all of them fall back at the same word.
   uint64_t safe_rows = 0;
   /// Optional pass statistics (word mix served), for the obs path
-  /// breakdown. Incremented, not reset, by the kernels when non-null.
+  /// breakdown. Incremented once per walked word (not per treatment), not
+  /// reset, by the kernels when non-null.
   size_t* dense_words = nullptr;
   size_t* sparse_words = nullptr;
-  CateSink overall;
-  CateSink prot;
-  CateSink nonprot;
+  const CateTreatmentSinks* treatments = nullptr;
+  size_t num_treatments = 0;
 };
 
 /// The per-ISA kernel table. Results are identical across tiers (see file
@@ -169,12 +182,12 @@ struct Kernels {
   /// cells are nulls and excluded under every operator, kNe included.
   void (*mask_numeric_cmp)(const double* values, size_t n, Cmp op, double rhs,
                            uint64_t* out);
-  /// The fused CateStatsEngine accumulation pass over one word range:
-  /// group/treated(/protected) bitmaps in lockstep, per-(cell, arm)
-  /// {n, Σy, Σy²} (+ numeric moments) into the overall sink and, when
-  /// splitting, the protected-or-nonprotected sink — each bitmap word and
-  /// outcome cache line touched once. Integer stats are exact; float adds
-  /// run in ascending row order with the scalar loop's associations.
+  /// The batched CateStatsEngine accumulation pass over one word range:
+  /// group(/protected) bitmaps walked once, per-(cell, arm) {n, Σy, Σy²}
+  /// (+ numeric moments) into every treatment's overall sink and, when
+  /// splitting, its protected-or-nonprotected sink — each group word,
+  /// cell id and outcome touched once for all treatments. Float adds run
+  /// in ascending row order per sink with the scalar loop's associations.
   void (*cate_accumulate)(const CateAccumArgs& args);
   /// The exact integer fast path: same pass as cate_accumulate but
   /// accumulating {n, Σy, Σy²} in int64 (args.outcome_i64), where integer
@@ -182,10 +195,10 @@ struct Kernels {
   /// run branchless full-width dense-word loops. Requires !args.moments.
   /// Returns true when the whole range completed on the integer path (the
   /// isy/isyy arrays are authoritative); returns false when the
-  /// args.safe_rows overflow guard tripped — the integer partials were
-  /// exactly flushed into sy/syy and the remainder of the range ran
-  /// through the FP path, so the FP arrays are authoritative and carry
-  /// the bit-exact legacy result.
+  /// args.safe_rows overflow guard tripped — every treatment's integer
+  /// partials were exactly flushed into sy/syy and the remainder of the
+  /// range ran through the FP path, so the FP arrays are authoritative and
+  /// carry the bit-exact legacy result.
   bool (*cate_accumulate_int)(const CateAccumArgs& args);
 };
 

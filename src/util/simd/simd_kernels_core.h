@@ -1,19 +1,20 @@
 // Internal: portable kernel bodies shared by the per-ISA translation
 // units. The scalar tier uses these as THE implementation; the AVX2 and
-// AVX-512 tiers use them for word tails and for the per-row statistic
-// adds of the accumulation kernel.
+// AVX-512 tiers use them for word tails and for the whole accumulation
+// walk, supplying only their vector dense-word lane preparation.
 //
 // The accumulation core is the determinism anchor of the whole layer. For
 // real-valued outcomes it performs every floating-point add in ascending
 // row order with the same associations as the original CateStatsEngine
 // scalar loop — vector tiers may prepare lanes (cell indices, arm bits)
-// with SIMD and stage a dense word's rows into small buffers, but each
-// slot's add sequence is always the ascending-row scalar sequence, so a
-// vectorized scatter-add (which would race with itself and reassociate)
-// is never used. For integer-valued outcomes the int64 fast path below is
-// exact, so reassociation is free and the dense-word loop runs branchless
-// at full width; the safe_rows guard keeps every partial below 2^53 so the
-// conversion to double reproduces the legacy FP result bit for bit.
+// with SIMD, and every word is staged into small buffers before its adds,
+// but each slot's add sequence is always the ascending-row scalar
+// sequence, so a vectorized scatter-add (which would race with itself and
+// reassociate) is never used. For integer-valued outcomes the int64 fast
+// path below is exact, so reassociation is free and the dense-word loop
+// runs branchless at full width; the safe_rows guard keeps every partial
+// below 2^53 so the conversion to double reproduces the legacy FP result
+// bit for bit.
 
 #ifndef FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_
 #define FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_
@@ -138,170 +139,131 @@ inline void ScalarMaskNumericCmp(const double* values, size_t n, Cmp op,
 
 // ---------------------------------------------------------------------
 // Accumulation core.
+//
+// One walk over the group bitmap serves every treatment in
+// args.treatments (they share the row -> cell map). Each populated word's
+// rows — cell, outcome, protected bit — are extracted once, then replayed
+// into each treatment's sinks with that treatment's arm bit. Replay is
+// treatment-major within a word, so every sink still receives its adds in
+// ascending row order: the batch changes which sinks a walk feeds, never
+// the add sequence any one slot sees. The kernels keep no integer
+// counters; the caller derives rows / n_treated / n_control from the slot
+// counts n[] after the pass.
 
-/// Per-sink integer counters kept in registers during the pass and
-/// flushed once at the end (integer adds commute; the float arrays are
-/// updated in place, in row order).
-struct SinkCounters {
-  size_t rows = 0;
-  size_t n_treated = 0;
-  size_t n_control = 0;
-
-  void FlushTo(const CateSink& sink) const {
-    *sink.rows += rows;
-    *sink.n_treated += n_treated;
-    *sink.n_control += n_control;
-  }
+/// Row-major lanes of one dense (all-ones) group word for one treatment:
+/// idx[b] = 2*cell + arm for row base+b (garbage where excluded), valid =
+/// mask of rows whose cell is >= 0.
+struct DenseLanes {
+  int32_t idx[64];
+  uint64_t valid;
 };
 
-/// The per-row statistic adds, in the scalar loop's exact order. `sub` is
-/// null when not splitting on the protected bit (counters_sub unused).
+/// Dense-word lane preparation for tiers without a vector path: every
+/// populated word takes the staged sparse path.
+struct NoDenseLanes {
+  static constexpr bool kDense = false;
+  static void Prepare(const int32_t*, uint64_t, DenseLanes*) {}
+};
+
+/// One included row of a word, staged for replay: 2*cell (the arm bit is
+/// added per treatment), the row's offset in its word, its protected bit
+/// and its outcome — 16 bytes for both outcome types.
+template <typename Y>
+struct StagedRow {
+  int32_t cell2;
+  uint8_t off;
+  uint8_t prot;
+  Y y;
+};
+
+/// Extracts a word's group rows into `out` (64 entries) in ascending row
+/// order. A row with an excluded cell (-1) is written but not counted, so
+/// the next row overwrites it and the loop carries no validity branch.
+/// Returns the number of included rows.
+template <bool kSplit, typename Y>
+inline size_t StageWord(uint64_t bits, size_t base, const int32_t* cell_of_row,
+                        const Y* y, uint64_t pword, StagedRow<Y>* out) {
+  size_t count = 0;
+  while (bits != 0) {
+    const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+    bits &= bits - 1;
+    const int32_t c = cell_of_row[base + b];
+    StagedRow<Y>& row = out[count];
+    row.cell2 = c * 2;
+    row.off = static_cast<uint8_t>(b);
+    row.prot = kSplit ? static_cast<uint8_t>((pword >> b) & 1) : 0;
+    row.y = y[base + b];
+    count += static_cast<size_t>(c >= 0);
+  }
+  return count;
+}
+
+/// The numeric-moment adds of one row into one sink, in the scalar loop's
+/// order.
+inline void AddMoments(const CateAccumArgs& args, const CateSink& sink,
+                       size_t idx, size_t r, double y) {
+  const size_t m = args.num_numeric;
+  const size_t zbase = idx * m;
+  const size_t zzbase = idx * (m * (m + 1) / 2);
+  for (size_t j = 0, t = 0; j < m; ++j) {
+    const double zj = args.zcols[j][r];
+    sink.zsum[zbase + j] += zj;
+    sink.zysum[zbase + j] += zj * y;
+    for (size_t k = j; k < m; ++k, ++t) {
+      sink.zzsum[zzbase + t] += zj * args.zcols[k][r];
+    }
+  }
+}
+
+/// Replays a staged word into one treatment's FP sinks. The split picks
+/// the protected or non-protected sink by indexing, not by branching.
 template <bool kSplit, bool kMoments>
-inline void AddRow(const CateAccumArgs& args, size_t r, int32_t c, int arm,
-                   bool prot_bit, SinkCounters* counters_overall,
-                   SinkCounters* counters_prot, SinkCounters* counters_nonprot) {
-  const size_t idx = static_cast<size_t>(c) * 2 + static_cast<size_t>(arm);
-  const double yr = args.outcome[r];
-  const CateSink& overall = args.overall;
-  const CateSink* sub = nullptr;
-  SinkCounters* sub_counters = nullptr;
-  if (kSplit) {
-    sub = prot_bit ? &args.prot : &args.nonprot;
-    sub_counters = prot_bit ? counters_prot : counters_nonprot;
-  }
-
-  ++counters_overall->rows;
-  if (arm != 0) {
-    ++counters_overall->n_treated;
-  } else {
-    ++counters_overall->n_control;
-  }
-  ++overall.n[idx];
-  overall.sy[idx] += yr;
-  overall.syy[idx] += yr * yr;
-  if (kSplit) {
-    ++sub_counters->rows;
-    if (arm != 0) {
-      ++sub_counters->n_treated;
-    } else {
-      ++sub_counters->n_control;
+inline void ReplayFp(const CateAccumArgs& args, const CateTreatmentSinks& t,
+                     uint64_t tword, const StagedRow<double>* rows,
+                     size_t count, size_t base) {
+  const CateSink* const sub[2] = {&t.nonprot, &t.prot};
+  for (size_t i = 0; i < count; ++i) {
+    const StagedRow<double>& row = rows[i];
+    const size_t idx =
+        static_cast<size_t>(row.cell2) + ((tword >> row.off) & 1);
+    const double y = row.y;
+    ++t.overall.n[idx];
+    t.overall.sy[idx] += y;
+    t.overall.syy[idx] += y * y;
+    if (kSplit) {
+      const CateSink& s = *sub[row.prot];
+      ++s.n[idx];
+      s.sy[idx] += y;
+      s.syy[idx] += y * y;
     }
-    ++sub->n[idx];
-    sub->sy[idx] += yr;
-    sub->syy[idx] += yr * yr;
-  }
-  if (kMoments) {
-    const size_t m = args.num_numeric;
-    const size_t zbase = idx * m;
-    const size_t zzbase = idx * (m * (m + 1) / 2);
-    for (size_t j = 0, t = 0; j < m; ++j) {
-      const double zj = args.zcols[j][r];
-      overall.zsum[zbase + j] += zj;
-      overall.zysum[zbase + j] += zj * yr;
-      if (kSplit) {
-        sub->zsum[zbase + j] += zj;
-        sub->zysum[zbase + j] += zj * yr;
-      }
-      for (size_t k = j; k < m; ++k, ++t) {
-        const double zz = zj * args.zcols[k][r];
-        overall.zzsum[zzbase + t] += zz;
-        if (kSplit) sub->zzsum[zzbase + t] += zz;
-      }
+    if (kMoments) {
+      const size_t r = base + row.off;
+      AddMoments(args, t.overall, idx, r, y);
+      if (kSplit) AddMoments(args, *sub[row.prot], idx, r, y);
     }
   }
 }
 
-/// The full scalar accumulation pass, specialized at compile time on the
-/// protected split and the moments block so the hot no-split/no-moments
-/// shape carries no per-row branches beyond the data-dependent ones.
-template <bool kSplit, bool kMoments>
-inline void CateAccumulateCore(const CateAccumArgs& args) {
-  const uint64_t* gw = args.group_words;
-  const uint64_t* tw = args.treated_words;
-  const uint64_t* pw = args.protected_words;
-  const int32_t* cell_of_row = args.cell_of_row;
-  SinkCounters overall, prot, nonprot;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
-    if (bits == 0) continue;
-    // The scalar tier has no staged dense path; every populated word is a
-    // sparse-path word for the obs breakdown.
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
-    const uint64_t tword = tw[w];
-    const uint64_t pword = kSplit ? pw[w] : 0;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      AddRow<kSplit, kMoments>(args, r, c, arm, prot_bit, &overall, &prot,
-                               &nonprot);
-    }
-  }
-  overall.FlushTo(args.overall);
-  if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
-  }
-}
-
-/// Dispatch helper shared by the tiers: picks the (split, moments)
-/// specialization. Vector tiers call this for their non-dense fallback.
-inline void ScalarCateAccumulate(const CateAccumArgs& args) {
-  const bool split = args.protected_words != nullptr;
-  if (split) {
-    if (args.moments) {
-      CateAccumulateCore<true, true>(args);
-    } else {
-      CateAccumulateCore<true, false>(args);
-    }
-  } else {
-    if (args.moments) {
-      CateAccumulateCore<false, true>(args);
-    } else {
-      CateAccumulateCore<false, false>(args);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Exact integer fast path.
-
-/// Per-row int64 adds for the sparse words of the integer path (ctz
-/// iteration; the dense-word body is IntDenseWord). Mirrors AddRow, minus
-/// moments — the engine never routes moments through the integer path.
+/// Integer-path replay: int64 adds, otherwise ReplayFp's shape.
 template <bool kSplit>
-inline void AddRowInt(const CateAccumArgs& args, size_t r, int32_t c, int arm,
-                      bool prot_bit, SinkCounters* counters_overall,
-                      SinkCounters* counters_prot,
-                      SinkCounters* counters_nonprot) {
-  const size_t idx = static_cast<size_t>(c) * 2 + static_cast<size_t>(arm);
-  const int64_t y = args.outcome_i64[r];
-  const int64_t yy = y * y;
-  ++counters_overall->rows;
-  if (arm != 0) {
-    ++counters_overall->n_treated;
-  } else {
-    ++counters_overall->n_control;
-  }
-  ++args.overall.n[idx];
-  args.overall.isy[idx] += y;
-  args.overall.isyy[idx] += yy;
-  if (kSplit) {
-    const CateSink& sub = prot_bit ? args.prot : args.nonprot;
-    SinkCounters* sub_counters = prot_bit ? counters_prot : counters_nonprot;
-    ++sub_counters->rows;
-    if (arm != 0) {
-      ++sub_counters->n_treated;
-    } else {
-      ++sub_counters->n_control;
+inline void ReplayInt(const CateTreatmentSinks& t, uint64_t tword,
+                      const StagedRow<int64_t>* rows, size_t count) {
+  const CateSink* const sub[2] = {&t.nonprot, &t.prot};
+  for (size_t i = 0; i < count; ++i) {
+    const StagedRow<int64_t>& row = rows[i];
+    const size_t idx =
+        static_cast<size_t>(row.cell2) + ((tword >> row.off) & 1);
+    const int64_t y = row.y;
+    const int64_t yy = y * y;
+    ++t.overall.n[idx];
+    t.overall.isy[idx] += y;
+    t.overall.isyy[idx] += yy;
+    if (kSplit) {
+      const CateSink& s = *sub[row.prot];
+      ++s.n[idx];
+      s.isy[idx] += y;
+      s.isyy[idx] += yy;
     }
-    ++sub.n[idx];
-    sub.isy[idx] += y;
-    sub.isyy[idx] += yy;
   }
 }
 
@@ -316,62 +278,27 @@ inline void FlushIntSinkToFp(const CateSink& sink, size_t num_slots) {
   }
 }
 
-inline void FlushIntToFp(const CateAccumArgs& args, bool split) {
-  FlushIntSinkToFp(args.overall, args.num_slots);
-  if (split) {
-    FlushIntSinkToFp(args.prot, args.num_slots);
-    FlushIntSinkToFp(args.nonprot, args.num_slots);
-  }
-}
-
-/// The branchless dense-word body of the integer path, shared by the
-/// vector tiers: idx_lanes[b] = 2*cell+arm for row base+b (negative when
-/// the row is excluded), valid = mask of included rows. Excluded rows are
-/// steered into the scratch slot at num_slots instead of being branched
-/// around; their y is 0 only by accident, so scratch is write-only and
-/// never read. Counters come from popcounts, not per-row increments.
+/// The branchless dense-word body of the integer path for one treatment:
+/// excluded rows are steered into the scratch slot at num_slots instead
+/// of being branched around; their y is 0 only by accident, so scratch is
+/// write-only and never read.
 template <bool kSplit>
-inline void IntDenseWord(const CateAccumArgs& args, size_t base,
-                         const int32_t* idx_lanes, uint64_t valid,
-                         uint64_t tword, uint64_t pword,
-                         SinkCounters* counters_overall,
-                         SinkCounters* counters_prot,
-                         SinkCounters* counters_nonprot) {
-  const size_t rows = static_cast<size_t>(__builtin_popcountll(valid));
-  const size_t nt = static_cast<size_t>(__builtin_popcountll(valid & tword));
-  counters_overall->rows += rows;
-  counters_overall->n_treated += nt;
-  counters_overall->n_control += rows - nt;
-  uint32_t* sub_n[2] = {nullptr, nullptr};
-  int64_t* sub_isy[2] = {nullptr, nullptr};
-  int64_t* sub_isyy[2] = {nullptr, nullptr};
-  if (kSplit) {
-    const uint64_t pv = valid & pword;
-    const size_t pr = static_cast<size_t>(__builtin_popcountll(pv));
-    const size_t pt = static_cast<size_t>(__builtin_popcountll(pv & tword));
-    counters_prot->rows += pr;
-    counters_prot->n_treated += pt;
-    counters_prot->n_control += pr - pt;
-    counters_nonprot->rows += rows - pr;
-    counters_nonprot->n_treated += nt - pt;
-    counters_nonprot->n_control += (rows - pr) - (nt - pt);
-    sub_n[0] = args.nonprot.n;
-    sub_n[1] = args.prot.n;
-    sub_isy[0] = args.nonprot.isy;
-    sub_isy[1] = args.prot.isy;
-    sub_isyy[0] = args.nonprot.isyy;
-    sub_isyy[1] = args.prot.isyy;
-  }
+inline void IntDenseWord(const CateAccumArgs& args,
+                         const CateTreatmentSinks& t, size_t base,
+                         const DenseLanes& lanes, uint64_t pword) {
+  uint32_t* sub_n[2] = {t.nonprot.n, t.prot.n};
+  int64_t* sub_isy[2] = {t.nonprot.isy, t.prot.isy};
+  int64_t* sub_isyy[2] = {t.nonprot.isyy, t.prot.isyy};
   const int64_t* y64 = args.outcome_i64 + base;
   const int32_t scratch = static_cast<int32_t>(args.num_slots);
-  for (int b = 0; b < 64; ++b) {
-    const int32_t raw = idx_lanes[b];
+  for (unsigned b = 0; b < 64; ++b) {
+    const int32_t raw = lanes.idx[b];
     const size_t idx = static_cast<size_t>(raw >= 0 ? raw : scratch);
     const int64_t y = y64[b];
     const int64_t yy = y * y;
-    ++args.overall.n[idx];
-    args.overall.isy[idx] += y;
-    args.overall.isyy[idx] += yy;
+    ++t.overall.n[idx];
+    t.overall.isy[idx] += y;
+    t.overall.isyy[idx] += yy;
     if (kSplit) {
       const size_t pb = (pword >> b) & 1;
       ++sub_n[pb][idx];
@@ -381,169 +308,168 @@ inline void IntDenseWord(const CateAccumArgs& args, size_t base,
   }
 }
 
-/// The scalar integer pass: ctz iteration with int64 adds and the
-/// per-word safe_rows guard. On a guard trip the integer partials are
-/// flushed exactly into the FP arrays and the remaining words run through
-/// the scalar FP core; returns false in that case (FP arrays
-/// authoritative), true when the whole range stayed integer.
-template <bool kSplit>
-inline bool CateAccumulateIntCore(const CateAccumArgs& args) {
-  const uint64_t* gw = args.group_words;
-  const uint64_t* tw = args.treated_words;
-  const uint64_t* pw = args.protected_words;
-  const int32_t* cell_of_row = args.cell_of_row;
-  SinkCounters overall, prot, nonprot;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
-    if (bits == 0) continue;
-    if (overall.rows + 64 > args.safe_rows) {
-      overall.FlushTo(args.overall);
-      if (kSplit) {
-        prot.FlushTo(args.prot);
-        nonprot.FlushTo(args.nonprot);
-      }
-      FlushIntToFp(args, kSplit);
-      CateAccumArgs rest = args;
-      rest.word_begin = w;
-      CateAccumulateCore<kSplit, false>(rest);
-      return false;
-    }
-    const uint64_t tword = tw[w];
-    const uint64_t pword = kSplit ? pw[w] : 0;
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      AddRowInt<kSplit>(args, r, c, arm, prot_bit, &overall, &prot, &nonprot);
+/// The staged dense-word body of the FP path for one treatment: the
+/// word's included rows are partitioned into per-sink buffers in
+/// ascending row order (every row to `all`, and with the split to exactly
+/// one of prot/nonprot via a branchless dual write), then each sink is
+/// flushed in one tight loop — each slot sees the scalar add sequence.
+template <bool kSplit, bool kMoments>
+inline void StagedDenseWord(const CateAccumArgs& args,
+                            const CateTreatmentSinks& t, size_t base,
+                            const DenseLanes& lanes, uint64_t pword) {
+  struct Entry {
+    int32_t idx;
+    int32_t row_off;
+    double y;
+  };
+  Entry all[64], prot_buf[64], nonprot_buf[64];
+  size_t all_n = 0, prot_n = 0, nonprot_n = 0;
+  const double* y_word = args.outcome + base;
+  for (uint64_t valid = lanes.valid; valid != 0; valid &= valid - 1) {
+    const int b = __builtin_ctzll(valid);
+    const Entry e{lanes.idx[b], b, y_word[b]};
+    all[all_n++] = e;
+    if (kSplit) {
+      const size_t pb = (pword >> static_cast<unsigned>(b)) & 1;
+      prot_buf[prot_n] = e;
+      nonprot_buf[nonprot_n] = e;
+      prot_n += pb;
+      nonprot_n += 1 - pb;
     }
   }
-  overall.FlushTo(args.overall);
+  const auto flush = [&](const CateSink& sink, const Entry* entries,
+                         size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      const size_t idx = static_cast<size_t>(entries[i].idx);
+      const double y = entries[i].y;
+      ++sink.n[idx];
+      sink.sy[idx] += y;
+      sink.syy[idx] += y * y;
+      if (kMoments) {
+        AddMoments(args, sink, idx,
+                   base + static_cast<size_t>(entries[i].row_off), y);
+      }
+    }
+  };
+  flush(t.overall, all, all_n);
   if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
+    flush(t.prot, prot_buf, prot_n);
+    flush(t.nonprot, nonprot_buf, nonprot_n);
+  }
+}
+
+/// The FP walk over words [word_begin, args.word_end), specialized on the
+/// protected split and the moments block. `Lanes` is the tier's dense-word
+/// lane preparation (NoDenseLanes: none).
+template <bool kSplit, bool kMoments, typename Lanes>
+inline void WalkFp(const CateAccumArgs& args, size_t word_begin) {
+  const uint64_t* gw = args.group_words;
+  const uint64_t* pw = args.protected_words;
+  const CateTreatmentSinks* treatments = args.treatments;
+  const size_t num_treatments = args.num_treatments;
+  StagedRow<double> stage[64];
+  DenseLanes lanes;
+  for (size_t w = word_begin; w < args.word_end; ++w) {
+    const uint64_t bits = gw[w];
+    if (bits == 0) continue;
+    const uint64_t pword = kSplit ? pw[w] : 0;
+    const size_t base = w * 64;
+    if (Lanes::kDense && bits == ~0ULL) {
+      if (args.dense_words != nullptr) ++*args.dense_words;
+      for (size_t k = 0; k < num_treatments; ++k) {
+        const CateTreatmentSinks& t = treatments[k];
+        Lanes::Prepare(args.cell_of_row + base, t.treated_words[w], &lanes);
+        StagedDenseWord<kSplit, kMoments>(args, t, base, lanes, pword);
+      }
+      continue;
+    }
+    if (args.sparse_words != nullptr) ++*args.sparse_words;
+    const size_t count = StageWord<kSplit>(bits, base, args.cell_of_row,
+                                           args.outcome, pword, stage);
+    for (size_t k = 0; k < num_treatments; ++k) {
+      const CateTreatmentSinks& t = treatments[k];
+      ReplayFp<kSplit, kMoments>(args, t, t.treated_words[w], stage, count,
+                                 base);
+    }
+  }
+}
+
+/// The integer walk: WalkFp's shape with int64 adds, plus the per-word
+/// safe_rows guard. The guard counts rows walked, which is the same for
+/// every treatment, so all of them trip at the same word. On a trip the
+/// integer partials are flushed exactly into the FP arrays and the
+/// remaining words run through WalkFp; returns false in that case (FP
+/// arrays authoritative), true when the whole range stayed integer.
+template <bool kSplit, typename Lanes>
+inline bool WalkInt(const CateAccumArgs& args) {
+  const uint64_t* gw = args.group_words;
+  const uint64_t* pw = args.protected_words;
+  const CateTreatmentSinks* treatments = args.treatments;
+  const size_t num_treatments = args.num_treatments;
+  StagedRow<int64_t> stage[64];
+  DenseLanes lanes;
+  size_t rows = 0;
+  for (size_t w = args.word_begin; w < args.word_end; ++w) {
+    const uint64_t bits = gw[w];
+    if (bits == 0) continue;
+    if (rows + 64 > args.safe_rows) {
+      for (size_t k = 0; k < num_treatments; ++k) {
+        FlushIntSinkToFp(treatments[k].overall, args.num_slots);
+        if (kSplit) {
+          FlushIntSinkToFp(treatments[k].prot, args.num_slots);
+          FlushIntSinkToFp(treatments[k].nonprot, args.num_slots);
+        }
+      }
+      WalkFp<kSplit, false, Lanes>(args, w);
+      return false;
+    }
+    const uint64_t pword = kSplit ? pw[w] : 0;
+    const size_t base = w * 64;
+    if (Lanes::kDense && bits == ~0ULL) {
+      if (args.dense_words != nullptr) ++*args.dense_words;
+      for (size_t k = 0; k < num_treatments; ++k) {
+        const CateTreatmentSinks& t = treatments[k];
+        Lanes::Prepare(args.cell_of_row + base, t.treated_words[w], &lanes);
+        IntDenseWord<kSplit>(args, t, base, lanes, pword);
+      }
+      rows += static_cast<size_t>(__builtin_popcountll(lanes.valid));
+      continue;
+    }
+    if (args.sparse_words != nullptr) ++*args.sparse_words;
+    const size_t count = StageWord<kSplit>(bits, base, args.cell_of_row,
+                                           args.outcome_i64, pword, stage);
+    rows += count;
+    for (size_t k = 0; k < num_treatments; ++k) {
+      const CateTreatmentSinks& t = treatments[k];
+      ReplayInt<kSplit>(t, t.treated_words[w], stage, count);
+    }
   }
   return true;
 }
 
-/// (split) dispatch for the scalar integer kernel.
-inline bool ScalarCateAccumulateInt(const CateAccumArgs& args) {
+/// The tiers' cate_accumulate: picks the (split, moments) specialization.
+template <typename Lanes>
+inline void CateAccumulate(const CateAccumArgs& args) {
   if (args.protected_words != nullptr) {
-    return CateAccumulateIntCore<true>(args);
-  }
-  return CateAccumulateIntCore<false>(args);
-}
-
-// ---------------------------------------------------------------------
-// Fused word-level FP staging (vector tiers' dense-word path).
-
-/// One staged row of a dense word: its (cell, arm) slot, the row offset
-/// within the word (for the moments block), and the outcome value — 16
-/// bytes so a 64-row word stages within two cache lines per buffer.
-struct StageEntry {
-  int32_t idx;
-  int32_t row_off;
-  double y;
-};
-
-/// Partitions a dense word's included rows into per-sink staging buffers
-/// in ascending row order: every row appends to `all`, and (when
-/// splitting) to exactly one of `prot_buf`/`nonprot_buf` via a branchless
-/// dual write. Buffers must hold 64 entries. Returns counts through the
-/// out-params.
-template <bool kSplit>
-inline void BuildStage(const int32_t* idx_lanes, uint64_t valid,
-                       uint64_t pword, const double* y_word, StageEntry* all,
-                       size_t* all_n, StageEntry* prot_buf, size_t* prot_n,
-                       StageEntry* nonprot_buf, size_t* nonprot_n) {
-  size_t an = 0, pn = 0, nn = 0;
-  while (valid != 0) {
-    const int b = __builtin_ctzll(valid);
-    valid &= valid - 1;
-    const StageEntry e{idx_lanes[b], b, y_word[b]};
-    all[an++] = e;
-    if (kSplit) {
-      const size_t pb = (pword >> static_cast<unsigned>(b)) & 1;
-      prot_buf[pn] = e;
-      nonprot_buf[nn] = e;
-      pn += pb;
-      nn += 1 - pb;
+    if (args.moments) {
+      WalkFp<true, true, Lanes>(args, args.word_begin);
+    } else {
+      WalkFp<true, false, Lanes>(args, args.word_begin);
     }
-  }
-  *all_n = an;
-  if (kSplit) {
-    *prot_n = pn;
-    *nonprot_n = nn;
-  }
-}
-
-/// Replays one sink's staged entries. Entries arrive in ascending row
-/// order, so each slot sees the same add sequence as the scalar loop —
-/// only adds to *different* sinks were reordered, which no slot observes.
-template <bool kMoments>
-inline void FlushStage(const CateAccumArgs& args, const CateSink& sink,
-                       const StageEntry* entries, size_t count, size_t base) {
-  for (size_t i = 0; i < count; ++i) {
-    const size_t idx = static_cast<size_t>(entries[i].idx);
-    const double y = entries[i].y;
-    ++sink.n[idx];
-    sink.sy[idx] += y;
-    sink.syy[idx] += y * y;
-    if (kMoments) {
-      const size_t r = base + static_cast<size_t>(entries[i].row_off);
-      const size_t m = args.num_numeric;
-      const size_t zbase = idx * m;
-      const size_t zzbase = idx * (m * (m + 1) / 2);
-      for (size_t j = 0, t = 0; j < m; ++j) {
-        const double zj = args.zcols[j][r];
-        sink.zsum[zbase + j] += zj;
-        sink.zysum[zbase + j] += zj * y;
-        for (size_t k = j; k < m; ++k, ++t) {
-          sink.zzsum[zzbase + t] += zj * args.zcols[k][r];
-        }
-      }
+  } else {
+    if (args.moments) {
+      WalkFp<false, true, Lanes>(args, args.word_begin);
+    } else {
+      WalkFp<false, false, Lanes>(args, args.word_begin);
     }
   }
 }
 
-/// The staged dense-word body for the FP vector tiers: popcount-derived
-/// counters, one staging pass, then one tight flush loop per sink.
-template <bool kSplit, bool kMoments>
-inline void StagedDenseWord(const CateAccumArgs& args, size_t base,
-                            const int32_t* idx_lanes, uint64_t valid,
-                            uint64_t tword, uint64_t pword,
-                            SinkCounters* counters_overall,
-                            SinkCounters* counters_prot,
-                            SinkCounters* counters_nonprot) {
-  const size_t rows = static_cast<size_t>(__builtin_popcountll(valid));
-  const size_t nt = static_cast<size_t>(__builtin_popcountll(valid & tword));
-  counters_overall->rows += rows;
-  counters_overall->n_treated += nt;
-  counters_overall->n_control += rows - nt;
-  if (kSplit) {
-    const uint64_t pv = valid & pword;
-    const size_t pr = static_cast<size_t>(__builtin_popcountll(pv));
-    const size_t pt = static_cast<size_t>(__builtin_popcountll(pv & tword));
-    counters_prot->rows += pr;
-    counters_prot->n_treated += pt;
-    counters_prot->n_control += pr - pt;
-    counters_nonprot->rows += rows - pr;
-    counters_nonprot->n_treated += nt - pt;
-    counters_nonprot->n_control += (rows - pr) - (nt - pt);
-  }
-  StageEntry all[64], prot_buf[64], nonprot_buf[64];
-  size_t all_n = 0, prot_n = 0, nonprot_n = 0;
-  BuildStage<kSplit>(idx_lanes, valid, pword, args.outcome + base, all,
-                     &all_n, prot_buf, &prot_n, nonprot_buf, &nonprot_n);
-  FlushStage<kMoments>(args, args.overall, all, all_n, base);
-  if (kSplit) {
-    FlushStage<kMoments>(args, args.prot, prot_buf, prot_n, base);
-    FlushStage<kMoments>(args, args.nonprot, nonprot_buf, nonprot_n, base);
-  }
+/// The tiers' cate_accumulate_int: picks the (split) specialization.
+template <typename Lanes>
+inline bool CateAccumulateInt(const CateAccumArgs& args) {
+  if (args.protected_words != nullptr) return WalkInt<true, Lanes>(args);
+  return WalkInt<false, Lanes>(args);
 }
 
 }  // namespace core

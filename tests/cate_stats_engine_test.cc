@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "causal/estimator.h"
 #include "data/german.h"
@@ -19,6 +20,7 @@
 #include "util/obs/metrics.h"
 #include "util/random.h"
 #include "util/simd/simd.h"
+#include "util/task_scheduler.h"
 
 namespace faircap {
 namespace {
@@ -618,6 +620,355 @@ TEST(CateStatsEngineIntPathTest, OverflowGuardFallsBackBitIdentically) {
   EXPECT_GT(reg.CounterValue("estimation.accumulate_int_fallbacks"),
             fallbacks_before);
   EXPECT_GT(reg.CounterValue("simd.cate_accumulate_rows"), rows_before);
+}
+
+// ---------------------------------------------------------------------
+// Treatment batching: AccumulateBatch runs ONE walk over the group for K
+// engines that share a confounder partition. Each engine's accums must be
+// bytewise equal to a walk with that engine alone — for every batch
+// width, outcome type (FP / exact int64), protected split, moments block,
+// SIMD tier, shard count, and whether the batch is split into cache-sized
+// chunks. No tolerance: this is the FP add order itself.
+
+// One treatment attribute with eight levels (so up to seven treatments
+// share its adjustment set {Zc, Zn}), a numeric confounder (moments
+// under regression), nulls in both confounders and the outcome, and
+// `zc_levels` categorical levels — wide enough at 20 to force the batch
+// into several cache-sized chunks.
+EdgeData MakeBatchData(size_t n, size_t zc_levels, bool integer_outcome,
+                       uint64_t seed) {
+  auto schema = Schema::Create({
+      {"Prot", AttrType::kCategorical, AttrRole::kImmutable},
+      {"Zc", AttrType::kCategorical, AttrRole::kImmutable},
+      {"Zn", AttrType::kNumeric, AttrRole::kImmutable},
+      {"T", AttrType::kCategorical, AttrRole::kMutable},
+      {"O", AttrType::kNumeric, AttrRole::kOutcome},
+  });
+  DataFrame df = DataFrame::Create(std::move(schema).ValueOrDie());
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const bool prot = rng.NextBernoulli(0.3);
+    const size_t zc = rng.NextBounded(zc_levels);
+    const double zn = rng.NextGaussian(0.0, 2.0);
+    const size_t t = rng.NextBounded(8);
+    double o = 5.0 + 0.5 * static_cast<double>(zc % 7) + 1.5 * zn +
+               0.7 * static_cast<double>(t) + (prot ? -1.0 : 0.0) +
+               rng.NextGaussian(0.0, 1.0);
+    if (integer_outcome) o = std::round(o * 10.0);
+    const Status st = df.AppendRow(
+        {Value(prot ? "yes" : "no"),
+         rng.NextBernoulli(0.05) ? Value::Null()
+                                 : Value("z" + std::to_string(zc)),
+         rng.NextBernoulli(0.05) ? Value::Null() : Value(zn),
+         Value("t" + std::to_string(t)),
+         rng.NextBernoulli(0.02) ? Value::Null() : Value(o)});
+    EXPECT_TRUE(st.ok());
+  }
+  CausalDag dag = CausalDag::Create({"Prot", "Zc", "Zn", "T", "O"},
+                                    {{"Zc", "T"},
+                                     {"Zn", "T"},
+                                     {"Zc", "O"},
+                                     {"Zn", "O"},
+                                     {"Prot", "O"},
+                                     {"T", "O"}})
+                      .ValueOrDie();
+  Pattern protected_pattern({Predicate(0, CompareOp::kEq, Value("yes"))});
+  return {std::move(df), std::move(dag), std::move(protected_pattern)};
+}
+
+// Bytewise: doubles compare by representation, so -0.0 vs 0.0 (or any
+// NaN payload) would count as a difference.
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void ExpectSameAccum(const CateStatsEngine::Accum& got,
+                     const CateStatsEngine::Accum& ref,
+                     const std::string& label) {
+  EXPECT_EQ(got.rows, ref.rows) << label;
+  EXPECT_EQ(got.n_treated, ref.n_treated) << label;
+  EXPECT_EQ(got.n_control, ref.n_control) << label;
+  EXPECT_EQ(got.int_valid, ref.int_valid) << label;
+  EXPECT_TRUE(SameBytes(got.n, ref.n)) << label << " n";
+  EXPECT_TRUE(SameBytes(got.sy, ref.sy)) << label << " sy";
+  EXPECT_TRUE(SameBytes(got.syy, ref.syy)) << label << " syy";
+  EXPECT_TRUE(SameBytes(got.zsum, ref.zsum)) << label << " zsum";
+  EXPECT_TRUE(SameBytes(got.zysum, ref.zysum)) << label << " zysum";
+  EXPECT_TRUE(SameBytes(got.zzsum, ref.zzsum)) << label << " zzsum";
+  EXPECT_TRUE(SameBytes(got.isy, ref.isy)) << label << " isy";
+  EXPECT_TRUE(SameBytes(got.isyy, ref.isyy)) << label << " isyy";
+}
+
+void ExpectSameAccums(const CateStatsEngine::SubgroupAccums& got,
+                      const CateStatsEngine::SubgroupAccums& ref,
+                      const std::string& label) {
+  EXPECT_EQ(got.split, ref.split) << label;
+  EXPECT_EQ(got.rows_covered, ref.rows_covered) << label;
+  ExpectSameAccum(got.overall, ref.overall, label + "/overall");
+  ExpectSameAccum(got.prot, ref.prot, label + "/prot");
+  ExpectSameAccum(got.nonprot, ref.nonprot, label + "/nonprot");
+}
+
+TEST(CateStatsEngineBatchTest, BatchedAccumsBytewiseEqualSingleTreatment) {
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  TaskScheduler scheduler(4);
+  for (const bool integer_outcome : {false, true}) {
+    for (const size_t zc_levels : {size_t{3}, size_t{20}}) {
+      const EdgeData data =
+          MakeBatchData(3000, zc_levels, integer_outcome, 31 + zc_levels);
+      const DataFrame& df = data.df;
+      const size_t t = *df.schema().IndexOf("T");
+      std::vector<Pattern> treatments;
+      treatments.reserve(7);
+      for (int level = 0; level < 7; ++level) {
+        treatments.push_back(Pattern({Predicate(
+            t, CompareOp::kEq, Value("t" + std::to_string(level)))}));
+      }
+      const Bitmap protected_mask = data.protected_pattern.Evaluate(df);
+      Rng rng(zc_levels);
+      // All rows: the vector tiers' dense-word path; 30%: sparse words.
+      const Bitmap groups[] = {df.AllRows(),
+                               RandomGroup(df.num_rows(), 0.3, &rng)};
+      // Regression with the numeric confounder runs the moments block
+      // (FP even on integer outcomes); stratified runs without it, on
+      // the int64 path for integer outcomes.
+      for (const CateMethod method :
+           {CateMethod::kRegression, CateMethod::kStratified}) {
+        CateOptions options;
+        options.method = method;
+        const auto est = CateEstimator::Create(&df, &data.dag, options);
+        ASSERT_TRUE(est.ok());
+        std::vector<std::shared_ptr<const CateStatsEngine>> held;
+        for (const Pattern& p : treatments) {
+          const auto engine = est->EngineFor(p);
+          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+          held.push_back(*engine);
+        }
+        ASSERT_EQ(&held[0]->partition(), &held[6]->partition());
+        for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+          simd::ScopedSimdLevel pin(level);
+          for (const size_t shards :
+               {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
+            const ShardPlan plan = ShardPlan::Create(df.num_rows(), shards);
+            TaskGroup tasks(&scheduler);
+            for (size_t g = 0; g < 2; ++g) {
+              for (const bool split : {false, true}) {
+                const Bitmap* prot = split ? &protected_mask : nullptr;
+                // The K=1 reference for every treatment.
+                std::vector<CateStatsEngine::SubgroupAccums> ref;
+                const auto collect =
+                    [](std::vector<CateStatsEngine::SubgroupAccums>* into) {
+                      return [into](size_t index,
+                                    CateStatsEngine::SubgroupAccums accums) {
+                        EXPECT_EQ(index, into->size());
+                        into->push_back(std::move(accums));
+                      };
+                    };
+                for (const auto& engine : held) {
+                  std::vector<CateStatsEngine::SubgroupAccums> one;
+                  CateStatsEngine::AccumulateBatch({engine.get()}, groups[g],
+                                                   prot, &plan, &tasks,
+                                                   collect(&one));
+                  ASSERT_EQ(one.size(), 1u);
+                  ref.push_back(std::move(one[0]));
+                }
+                for (const size_t k : {size_t{1}, size_t{2}, size_t{3},
+                                       size_t{7}}) {
+                  std::vector<const CateStatsEngine*> batch;
+                  batch.reserve(k);
+                  for (size_t i = 0; i < k; ++i) batch.push_back(held[i].get());
+                  const uint64_t passes_before =
+                      reg.CounterValue("estimation.batched_passes");
+                  std::vector<CateStatsEngine::SubgroupAccums> got;
+                  CateStatsEngine::AccumulateBatch(batch, groups[g], prot,
+                                                   &plan, &tasks,
+                                                   collect(&got));
+                  const uint64_t passes =
+                      reg.CounterValue("estimation.batched_passes") -
+                      passes_before;
+                  // The 20-level table's split FP accumulators overflow
+                  // the cache budget: seven treatments need several walks.
+                  if (zc_levels == 20 && split && k == 7) {
+                    EXPECT_GT(passes, 1u);
+                  }
+                  ASSERT_EQ(got.size(), k);
+                  for (size_t i = 0; i < k; ++i) {
+                    ExpectSameAccums(
+                        got[i], ref[i],
+                        std::string(integer_outcome ? "int" : "fp") + "/z" +
+                            std::to_string(zc_levels) + "/m" +
+                            std::to_string(static_cast<int>(method)) + "/" +
+                            simd::SimdLevelName(level) + "/s" +
+                            std::to_string(shards) + "/g" +
+                            std::to_string(g) + (split ? "/split" : "") +
+                            "/k" + std::to_string(k) + "/t" +
+                            std::to_string(i));
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CateStatsEngineBatchTest, BatchedIntGuardTripsAtTheSameWord) {
+  // Near-limit integer outcomes trip the safe_rows guard mid-walk. The
+  // guard counts rows walked, which every treatment of a batch shares, so
+  // each must fall back to FP at exactly the word its own walk would.
+  const EdgeData data = MakeBigIntData(4000, 102);
+  const size_t t = *data.df.schema().IndexOf("T");
+  CateOptions options;
+  options.method = CateMethod::kStratified;
+  const auto est = CateEstimator::Create(&data.df, &data.dag, options);
+  ASSERT_TRUE(est.ok());
+  std::vector<std::shared_ptr<const CateStatsEngine>> held;
+  held.reserve(2);
+  for (const char* level : {"yes", "no"}) {
+    held.push_back(
+        *est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value(level))})));
+  }
+  const Bitmap protected_mask = data.protected_pattern.Evaluate(data.df);
+  const Bitmap all = data.df.AllRows();
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const uint64_t fallbacks_before =
+      reg.CounterValue("estimation.accumulate_int_fallbacks");
+  for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+    simd::ScopedSimdLevel pin(level);
+    for (const size_t shards : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
+      const ShardPlan plan = ShardPlan::Create(data.df.num_rows(), shards);
+      for (const Bitmap* prot : {static_cast<const Bitmap*>(nullptr),
+                                 &protected_mask}) {
+        std::vector<CateStatsEngine::SubgroupAccums> got, ref;
+        const auto push_to = [](std::vector<CateStatsEngine::SubgroupAccums>*
+                                    into) {
+          return [into](size_t, CateStatsEngine::SubgroupAccums accums) {
+            into->push_back(std::move(accums));
+          };
+        };
+        CateStatsEngine::AccumulateBatch({held[0].get(), held[1].get()}, all,
+                                         prot, &plan, nullptr, push_to(&got));
+        for (const auto& engine : held) {
+          CateStatsEngine::AccumulateBatch({engine.get()}, all, prot, &plan,
+                                           nullptr, push_to(&ref));
+        }
+        ASSERT_EQ(got.size(), 2u);
+        ASSERT_EQ(ref.size(), 2u);
+        for (size_t i = 0; i < 2; ++i) {
+          ExpectSameAccums(got[i], ref[i],
+                           std::string("guard/") + simd::SimdLevelName(level) +
+                               "/s" + std::to_string(shards) +
+                               (prot != nullptr ? "/split" : "") + "/t" +
+                               std::to_string(i));
+        }
+      }
+    }
+  }
+  EXPECT_GT(reg.CounterValue("estimation.accumulate_int_fallbacks"),
+            fallbacks_before);
+}
+
+TEST(CateStatsEngineBatchTest, EstimatorBatchMatchesPerTreatmentCalls) {
+  // The estimator-level batch groups treatments by partition (here T
+  // levels share one, U levels have an empty adjustment set, and one
+  // pattern fails validation) and must answer each exactly as its own
+  // EstimateSubgroups call would.
+  const EdgeData data = MakeEdgeData(3000, 93);
+  const Bitmap protected_mask = data.protected_pattern.Evaluate(data.df);
+  const size_t t = *data.df.schema().IndexOf("T");
+  const size_t u = *data.df.schema().IndexOf("U");
+  const std::vector<Pattern> interventions = {
+      Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}),
+      Pattern({Predicate(u, CompareOp::kEq, Value("hi"))}),
+      Pattern({Predicate(t, CompareOp::kEq, Value("no"))}),
+      Pattern({Predicate(u + 17, CompareOp::kEq, Value("x"))}),
+      Pattern({Predicate(u, CompareOp::kEq, Value("lo"))}),
+  };
+  Rng rng(93);
+  const Bitmap group = RandomGroup(data.df.num_rows(), 0.5, &rng);
+  for (const CateMethod method :
+       {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
+    CateOptions options;
+    options.method = method;
+    const auto est = CateEstimator::Create(&data.df, &data.dag, options);
+    ASSERT_TRUE(est.ok());
+    const std::vector<Result<CateSubgroupEstimates>> batch =
+        est->EstimateSubgroupsBatch(interventions, group, &protected_mask, 5,
+                                    /*skip_subgroups_unless_positive=*/false,
+                                    nullptr, nullptr);
+    ASSERT_EQ(batch.size(), interventions.size());
+    for (size_t i = 0; i < interventions.size(); ++i) {
+      const Result<CateSubgroupEstimates> single = est->EstimateSubgroups(
+          interventions[i], group, &protected_mask, 5);
+      const std::string tag = "m" + std::to_string(static_cast<int>(method)) +
+                              "/i" + std::to_string(i);
+      ASSERT_EQ(batch[i].ok(), single.ok()) << tag;
+      if (!single.ok()) continue;
+      ExpectSameSubgroups(*batch[i], *single, tag);
+    }
+  }
+}
+
+// A joint confounder key is a mixed radix over the per-confounder bases
+// (categories + 1 each). With 40 binary confounders it needs 3^40 > 2^63
+// values: the engine must refuse the adjustment set, naming it, instead
+// of letting distinct cells collide; 39 still fit.
+TEST(CateStatsEngineRadixTest, WideAdjustmentSetIsRejectedByName) {
+  for (const size_t width : {size_t{39}, size_t{40}}) {
+    std::vector<AttributeSpec> specs;
+    std::vector<std::string> nodes;
+    std::vector<std::pair<std::string, std::string>> edges;
+    for (size_t z = 0; z < width; ++z) {
+      const std::string name = "Z" + std::to_string(z);
+      specs.push_back({name, AttrType::kCategorical, AttrRole::kImmutable});
+      nodes.push_back(name);
+      edges.emplace_back(name, "T");
+      edges.emplace_back(name, "O");
+    }
+    specs.push_back({"T", AttrType::kCategorical, AttrRole::kMutable});
+    specs.push_back({"O", AttrType::kNumeric, AttrRole::kOutcome});
+    nodes.push_back("T");
+    nodes.push_back("O");
+    edges.emplace_back("T", "O");
+    DataFrame df =
+        DataFrame::Create(Schema::Create(specs).ValueOrDie());
+    Rng rng(width);
+    for (size_t i = 0; i < 64; ++i) {
+      std::vector<Value> row;
+      row.reserve(width + 2);
+      for (size_t z = 0; z < width; ++z) {
+        row.emplace_back(rng.NextBernoulli(0.5) ? "a" : "b");
+      }
+      const bool treated = rng.NextBernoulli(0.5);
+      row.emplace_back(treated ? "yes" : "no");
+      row.emplace_back(treated ? 2.0 : 1.0);
+      ASSERT_TRUE(df.AppendRow(row).ok());
+    }
+    const CausalDag dag = CausalDag::Create(nodes, edges).ValueOrDie();
+    const auto est = CateEstimator::Create(&df, &dag);
+    ASSERT_TRUE(est.ok());
+    const Pattern intervention(
+        {Predicate(width, CompareOp::kEq, Value("yes"))});
+    const auto engine = est->EngineFor(intervention);
+    if (width == 39) {
+      EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = engine.status().ToString();
+    EXPECT_NE(message.find("Z0, Z1"), std::string::npos) << message;
+    EXPECT_NE(message.find("Z39"), std::string::npos) << message;
+    const Bitmap all = df.AllRows();
+    const auto batch = est->EstimateSubgroups(intervention, all, nullptr);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // Regression test for the empty-arm guard: one-class inputs used to

@@ -36,7 +36,7 @@ struct TestData {
 };
 
 // Categorical-only confounders (plus the numeric outcome, which is never
-// an adjustment attribute): confounder partitions copy-extend under
+// an adjustment attribute): confounder partitions extend in place under
 // appends and group-level reuse is sound. Integer-valued outcomes keep
 // every sufficient-statistics sum exact in double, so the delta merge is
 // associative and incremental estimates must be bit-for-bit cold. Nulls
@@ -424,7 +424,7 @@ TEST(IncrementalTest, NewCategoryInDeltaForcesFullRemineAndMatchesCold) {
 
 TEST(IncrementalTest, NotifyAppendReportsExtensionVsRebuild) {
   {
-    // Categorical-only adjustment sets: partitions copy-extend and their
+    // Categorical-only adjustment sets: partitions extend in place and their
     // engines refresh in place.
     TestData data = MakeCategoricalSynthetic(1550, 77, true);
     DataFrame df = Prefix(data.df, 1500);
@@ -491,8 +491,8 @@ TEST(IncrementalTest, EstimateWithCacheColdCachedAndDeltaPathsMatchOracle) {
   const uint64_t delta_before = Counter("append.evals_delta");
   for (int pass = 0; pass < 2; ++pass) {
     const auto got = state.EstimateWithCache(
-        *est, "g", intervention, group, prot, /*want_subgroups=*/true, 5,
-        /*skip_subgroups_unless_positive=*/false, nullptr, nullptr);
+        *est, "g", {intervention}, group, prot, /*want_subgroups=*/true, 5,
+        /*skip_subgroups_unless_positive=*/false, nullptr, nullptr)[0];
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     const std::string tag = "base/pass" + std::to_string(pass);
     ExpectSameEstimate(got->overall, oracle_base->overall, tag + "/overall");
@@ -513,8 +513,8 @@ TEST(IncrementalTest, EstimateWithCacheColdCachedAndDeltaPathsMatchOracle) {
   group = group_pattern.Evaluate(df);
   prot = data.protected_pattern.Evaluate(df);
   const auto got = state.EstimateWithCache(
-      *est, "g", intervention, group, prot, /*want_subgroups=*/true, 5,
-      /*skip_subgroups_unless_positive=*/false, nullptr, nullptr);
+      *est, "g", {intervention}, group, prot, /*want_subgroups=*/true, 5,
+      /*skip_subgroups_unless_positive=*/false, nullptr, nullptr)[0];
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Counter("append.evals_delta"), delta_before + 1);
 

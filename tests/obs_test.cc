@@ -206,7 +206,8 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
         "\"legacy_calls\":", "\"batch_evals\":", "\"solve_regression\":",
         "\"solve_stratified\":", "\"solve_ipw_cells\":",
         "\"solve_ipw_rows\":", "\"lattice_evaluations\":",
-        "\"pattern_tasks\":"}) {
+        "\"pattern_tasks\":", "\"batched_passes\":",
+        "\"cate_walk_rows\":", "\"batch_width\":{"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
   }
 }

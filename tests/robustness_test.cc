@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "core/faircap.h"
 #include "mining/lattice.h"
@@ -12,6 +14,17 @@
 
 namespace faircap {
 namespace {
+
+// Lifts a one-pattern evaluator to the lattice's batch signature.
+TreatmentEvaluator PerPattern(
+    std::function<std::optional<TreatmentEval>(const Pattern&)> fn) {
+  return [fn = std::move(fn)](const std::vector<Pattern>& patterns) {
+    std::vector<std::optional<TreatmentEval>> evals;
+    evals.reserve(patterns.size());
+    for (const Pattern& p : patterns) evals.push_back(fn(p));
+    return evals;
+  };
+}
 
 TEST(RobustnessTest, EmptyProtectedGroupStillRuns) {
   const ToyData data = MakeToyData(2000);
@@ -142,7 +155,7 @@ TEST(RobustnessTest, LatticeAblationExploresMoreWithoutPruning) {
   const ToyData data = MakeToyData(1500);
   size_t evals_pruned = 0, evals_unpruned = 0;
   for (const bool prune : {true, false}) {
-    TreatmentEvaluator eval =
+    TreatmentEvaluator eval = PerPattern(
         [&](const Pattern& p) -> std::optional<TreatmentEval> {
       TreatmentEval e;
       // Make exactly one atom negative so pruning bites.
@@ -152,7 +165,7 @@ TEST(RobustnessTest, LatticeAblationExploresMoreWithoutPruning) {
                    : 1.0;
       e.score = e.cate;
       return e;
-    };
+    });
     LatticeOptions options;
     options.max_predicates = 2;
     options.require_positive_parents = prune;

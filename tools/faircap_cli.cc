@@ -145,11 +145,23 @@ void PrintUsage() {
 }
 
 /// Repository request from the shared flags: --rows, --seed, and
-/// --set=k=v[,k2=v2...] for generator-specific knobs.
-DatasetRequest RequestFromArgs(const CliArgs& args, const std::string& name) {
+/// --set=k=v[,k2=v2...] for generator-specific knobs. An absent --rows
+/// keeps the dataset's default size; an explicit one must be positive
+/// (the repository reads 0 as "default", so --rows=0 would silently run
+/// the full-size dataset).
+Result<DatasetRequest> RequestFromArgs(const CliArgs& args,
+                                       const std::string& name) {
   DatasetRequest request;
   request.name = name;
-  request.rows = static_cast<size_t>(args.GetDouble("rows", 0));
+  if (args.Has("rows")) {
+    const double rows = args.GetDouble("rows", 0);
+    if (!(rows >= 1)) {
+      return Status::InvalidArgument(
+          "--rows must be a positive row count, got '" + args.Get("rows") +
+          "' (omit it for the dataset's default size)");
+    }
+    request.rows = static_cast<size_t>(rows);
+  }
   request.seed = static_cast<uint64_t>(args.GetDouble("seed", 0));
   for (const std::string& kv : Split(args.Get("set"), ',')) {
     if (std::string(Trim(kv)).empty()) continue;
@@ -169,14 +181,16 @@ DatasetRequest RequestFromArgs(const CliArgs& args, const std::string& name) {
 /// ingest).
 Result<Dataset> LoadFromArgs(const CliArgs& args) {
   if (args.Has("dataset")) {
-    return DatasetRepository::Global().Load(
-        RequestFromArgs(args, args.Get("dataset")));
+    FAIRCAP_ASSIGN_OR_RETURN(DatasetRequest request,
+                             RequestFromArgs(args, args.Get("dataset")));
+    return DatasetRepository::Global().Load(request);
   }
   if (!args.Has("data") || !args.Has("dag") || !args.Has("outcome")) {
     return Status::InvalidArgument(
         "need --dataset=NAME or --data/--dag/--outcome/--protected");
   }
-  DatasetRequest request = RequestFromArgs(args, "file");
+  FAIRCAP_ASSIGN_OR_RETURN(DatasetRequest request,
+                           RequestFromArgs(args, "file"));
   request.params["path"] = args.Get("data");
   request.params["dag"] = args.Get("dag");
   request.params["outcome"] = args.Get("outcome");
@@ -196,8 +210,9 @@ int RunDatasets() {
 int RunGen(const CliArgs& args) {
   if (!args.Has("out")) return Fail("gen needs --out=FILE.csv");
   const std::string dataset = args.Get("dataset", "synthetic");
-  auto loaded = DatasetRepository::Global().Load(
-      RequestFromArgs(args, dataset));
+  const Result<DatasetRequest> request = RequestFromArgs(args, dataset);
+  if (!request.ok()) return Fail(request.status().ToString());
+  auto loaded = DatasetRepository::Global().Load(*request);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
 
   const std::string out_path = args.Get("out");

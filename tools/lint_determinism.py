@@ -16,8 +16,8 @@ whichever pinning combination happens to exercise it:
 
   fp-accumulate    No floating-point accumulation inside vector kernel
                    TUs (src/util/simd/simd_<isa>.cc): FP adds must stay
-                   in the shared scalar core (core::AddRow and the
-                   staged-flush paths in simd_kernels_core.h) so every
+                   in the shared scalar core (core::ReplayFp and the
+                   staged dense-word path in simd_kernels_core.h) so every
                    tier sums in the same order with the same rounding.
                    FP *compare* intrinsics are fine.
 
@@ -255,7 +255,7 @@ def check_fp_accumulate(root):
                             tu,
                             lineno,
                             f"compound FP accumulation on '{name}' in a "
-                            "vector TU; route sums through core::AddRow / "
+                            "vector TU; route sums through core::ReplayFp / "
                             "the staged-flush paths",
                         )
                     )
