@@ -1,7 +1,8 @@
 // Estimation-at-scale harness: legacy 3-call CATE evaluation (overall +
-// protected + non-protected, each a full design-matrix/stratum pass) vs
-// the batch sufficient-statistics engine (one pass + three small solves)
-// on synthetic workloads, plus the end-to-end pipeline delta.
+// protected + non-protected, each a full design-matrix/stratum pass of
+// the test oracle in tests/oracle/) vs the batch sufficient-statistics
+// engine (one pass + three small solves) on synthetic workloads, plus the
+// end-to-end fairness-constrained pipeline time.
 //
 //   bench_estimator [--rows=N] [--full] [--threads=T] [--json=PATH]
 //
@@ -26,6 +27,7 @@
 #include "core/faircap.h"
 #include "ingest/synthetic.h"
 #include "mining/lattice.h"
+#include "oracle/legacy_estimator.h"
 #include "util/obs/metrics.h"
 #include "util/obs/run_report.h"
 #include "util/simd/simd.h"
@@ -49,15 +51,15 @@ struct MethodRow {
 // within the group plus the protected / non-protected subgroup CATEs.
 void LegacyEvaluate(const CateEstimator& est, const Pattern& intervention,
                     const Bitmap& group, const Bitmap& protected_mask) {
-  (void)est.Estimate(intervention, group);
+  (void)oracle::LegacyEstimate(est, intervention, group);
   Bitmap prot = group & protected_mask;
   if (prot.Count() > 0) {
-    (void)est.Estimate(intervention, prot, 5);
+    (void)oracle::LegacyEstimate(est, intervention, prot, 5);
   }
   Bitmap nonprot = group;
   nonprot.AndNot(protected_mask);
   if (nonprot.Count() > 0) {
-    (void)est.Estimate(intervention, nonprot, 5);
+    (void)oracle::LegacyEstimate(est, intervention, nonprot, 5);
   }
 }
 
@@ -149,49 +151,32 @@ int RunScale(size_t rows, size_t threads, bool run_ipw) {
                 row.speedup());
   }
 
-  // End-to-end pipeline: the same FairCap configuration with the legacy
-  // per-call estimator vs the batch engine (fairness active so every
-  // treatment evaluation needs all three subgroup estimates).
+  // End-to-end pipeline (fairness active so every treatment evaluation
+  // needs all three subgroup estimates). Ruleset identity across the
+  // estimation paths is pinned by tests/golden_ruleset_test.cc.
   FairCapOptions options;
   options.apriori.min_support_fraction = 0.3;
   options.apriori.max_pattern_length = 2;
   options.lattice.max_predicates = 1;
   options.fairness = FairnessConstraint::GroupSP(1e9);
   options.num_threads = threads;
-
-  double pipe_seconds[2] = {0.0, 0.0};
-  size_t pipe_rules[2] = {0, 0};
-  for (int use_batch = 0; use_batch <= 1; ++use_batch) {
-    options.use_batch_estimator = use_batch == 1;
-    auto solver =
-        FairCap::Create(&df, &data->dag, data->protected_pattern, options);
-    if (!solver.ok()) {
-      std::cerr << "pipeline: " << solver.status().ToString() << "\n";
-      return 1;
-    }
-    auto result = solver->Run();
-    if (!result.ok()) {
-      std::cerr << "pipeline run: " << result.status().ToString() << "\n";
-      return 1;
-    }
-    // Phase timing from the run report's registry gauge — the same
-    // production number `faircap_cli run --metrics-json` serializes — so
-    // the bench has no private stopwatch that could drift from it.
-    pipe_seconds[use_batch] =
-        obs::MetricsRegistry::Global().GaugeValue(obs::kPhaseTotal);
-    pipe_rules[use_batch] = result->rules.size();
-  }
-  std::printf(
-      "pipeline     legacy pipe_s=%.3f  batch pipe_s=%.3f  speedup=%.2fx  "
-      "(rules %zu/%zu)\n\n",
-      pipe_seconds[0], pipe_seconds[1],
-      pipe_seconds[1] > 0.0 ? pipe_seconds[0] / pipe_seconds[1] : 0.0,
-      pipe_rules[0], pipe_rules[1]);
-  if (pipe_rules[0] != pipe_rules[1]) {
-    std::cerr << "FAIL: legacy and batch pipelines selected different "
-                 "ruleset sizes\n";
+  auto solver =
+      FairCap::Create(&df, &data->dag, data->protected_pattern, options);
+  if (!solver.ok()) {
+    std::cerr << "pipeline: " << solver.status().ToString() << "\n";
     return 1;
   }
+  auto result = solver->Run();
+  if (!result.ok()) {
+    std::cerr << "pipeline run: " << result.status().ToString() << "\n";
+    return 1;
+  }
+  // Phase timing from the run report's registry gauge — the same
+  // production number `faircap_cli run --metrics-json` serializes — so
+  // the bench has no private stopwatch that could drift from it.
+  std::printf("pipeline     pipe_s=%.3f  (rules %zu)\n\n",
+              obs::MetricsRegistry::Global().GaugeValue(obs::kPhaseTotal),
+              result->rules.size());
   return 0;
 }
 

@@ -189,7 +189,7 @@ Result<std::shared_ptr<const ConfounderPartition>> ConfounderPartition::Build(
   static std::atomic<uint64_t> next_lineage{1};
   part->lineage_id_ = next_lineage.fetch_add(1, std::memory_order_relaxed);
 
-  // Per-confounder layout: design feature span (legacy enumeration order)
+  // Per-confounder layout: design feature span (oracle enumeration order)
   // and the radix base of the cell key. Persisted so ExtendInPlace can
   // intern appended rows with the exact same keys.
   part->confs_.reserve(adjustment.size());
@@ -232,7 +232,7 @@ Result<std::shared_ptr<const ConfounderPartition>> ConfounderPartition::Build(
   }
 
   // Cache the numeric confounder columns with nulls as 0.0 — exactly the
-  // value the legacy design-matrix build substitutes.
+  // value the oracle design-matrix build substitutes.
   part->numeric_values_.resize(part->numeric_features_.size());
   for (size_t j = 0; j < part->numeric_features_.size(); ++j) {
     const Column& col =
@@ -318,7 +318,7 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   outcome_.resize(n);
   cell_of_row_.resize(n, -1);
 
-  // A new cell's one-hot features and legacy stratum id, decoded from its
+  // A new cell's one-hot features and oracle stratum id, decoded from its
   // key. Without nulls the stratum id IS the key (same digits, same
   // bases); any null digit makes it -1.
   const auto make_cell = [&](int64_t key) {
@@ -396,7 +396,7 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   // may reassociate freely — and converts to double only at solve time.
   // The 2^31 magnitude cap keeps y² inside int64; safe_int_rows_ bounds
   // how many rows any partial may absorb before |Σy| or Σy² could reach
-  // 2^53, past which the double conversion (and the legacy FP sum itself)
+  // 2^53, past which the double conversion (and the oracle's FP sum itself)
   // would stop being exact. Nulls sit at 0.0 in outcome_, which is
   // integer, so scanning the whole cache is equivalent to scanning the
   // non-null rows. On an extension only the delta rows are scanned: the
@@ -823,7 +823,7 @@ Result<CateEstimate> CateStatsEngine::SolveRegression(
 
 Result<CateEstimate> CateStatsEngine::SolveStratified(
     const Accum& acc, size_t min_group_size) const {
-  // The exact legacy combine (same arithmetic, same std::map-ascending
+  // The exact oracle combine (same arithmetic, same std::map-ascending
   // stratum order), fed from the sliced cell stats — bit-for-bit equal.
   double weighted_effect = 0.0;
   double weighted_var = 0.0;
@@ -881,7 +881,7 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (partition_->num_numeric() > 0) {
-    // The propensity design varies within a cell; replay the legacy
+    // The propensity design varies within a cell; replay the oracle's
     // per-row path (design served from the partition's cached columns).
     static obs::Counter& row_solves =
         registry.GetCounter("estimation.solve_ipw_rows");
@@ -1004,7 +1004,7 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
       is_treated_row.push_back(t ? 1 : 0);
     }
   }
-  // Same ascending row order, same design values as the legacy loop —
+  // Same ascending row order, same design values as the oracle loop —
   // HajekIpwFromRows is the one shared implementation.
   return HajekIpwFromRows(design, labels.size(), p, labels, outcomes,
                           is_treated_row, options_.propensity_clip);
@@ -1059,25 +1059,6 @@ void CateStatsEngine::MergeAccum(Accum* into, const Accum& from) const {
   for (size_t i = 0; i < from.zzsum.size(); ++i) {
     into->zzsum[i] += from.zzsum[i];
   }
-}
-
-CateSubgroupEstimates CateStatsEngine::SolveSubgroups(
-    const Accum& overall, const Accum& prot, const Accum& nonprot,
-    const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive) const {
-  CateSubgroupEstimates out;
-  const Slice whole{&group, nullptr, false};
-  out.overall = Solve(overall, whole, min_group_size);
-  if (protected_mask == nullptr) return out;
-  if (skip_subgroups_unless_positive &&
-      (!out.overall.ok() || out.overall->cate <= 0.0)) {
-    return out;
-  }
-  const Slice prot_slice{&group, protected_mask, true};
-  const Slice nonprot_slice{&group, protected_mask, false};
-  out.protected_group = Solve(prot, prot_slice, min_subgroup_size);
-  out.nonprotected = Solve(nonprot, nonprot_slice, min_subgroup_size);
-  return out;
 }
 
 CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateDelta(
@@ -1160,43 +1141,18 @@ CateSubgroupEstimates CateStatsEngine::SolveFromAccums(
   EnsureFp(&accums.overall);
   EnsureFp(&accums.prot);
   EnsureFp(&accums.nonprot);
-  return SolveSubgroups(accums.overall, accums.prot, accums.nonprot, group,
-                        protected_mask, min_group_size, min_subgroup_size,
-                        skip_subgroups_unless_positive);
-}
-
-CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
-    const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive) const {
-  return EstimateSubgroups(group, protected_mask, min_group_size,
-                           min_subgroup_size, skip_subgroups_unless_positive,
-                           /*plan=*/nullptr, /*tasks=*/nullptr);
-}
-
-CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
-    const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive,
-    const ShardPlan* plan, TaskGroup* tasks) const {
   CateSubgroupEstimates out;
-  AccumulateBatch({this}, group, protected_mask, plan, tasks,
-                  [&](size_t, SubgroupAccums accums) {
-                    out = SolveFromAccums(std::move(accums), group,
-                                          protected_mask, min_group_size,
-                                          min_subgroup_size,
-                                          skip_subgroups_unless_positive);
-                  });
-  return out;
-}
-
-Result<CateEstimate> CateStatsEngine::EstimateSubgroup(
-    const Bitmap& group, size_t min_group_size) const {
-  Result<CateEstimate> out = Status::Internal("not accumulated");
-  AccumulateBatch({this}, group, /*protected_mask=*/nullptr, /*plan=*/nullptr,
-                  /*tasks=*/nullptr, [&](size_t, SubgroupAccums accums) {
-                    EnsureFp(&accums.overall);
-                    const Slice whole{&group, nullptr, false};
-                    out = Solve(accums.overall, whole, min_group_size);
-                  });
+  const Slice whole{&group, nullptr, false};
+  out.overall = Solve(accums.overall, whole, min_group_size);
+  if (protected_mask == nullptr) return out;
+  if (skip_subgroups_unless_positive &&
+      (!out.overall.ok() || out.overall->cate <= 0.0)) {
+    return out;
+  }
+  const Slice prot_slice{&group, protected_mask, true};
+  const Slice nonprot_slice{&group, protected_mask, false};
+  out.protected_group = Solve(accums.prot, prot_slice, min_subgroup_size);
+  out.nonprotected = Solve(accums.nonprot, nonprot_slice, min_subgroup_size);
   return out;
 }
 

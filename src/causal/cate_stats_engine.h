@@ -1,10 +1,10 @@
 // CateStatsEngine: per-treatment sufficient-statistics engine behind the
-// batch CATE API. Step-2 mining scores every candidate treatment three
-// times — overall, protected, and non-protected CATE — and the legacy
-// per-call estimator redoes the full design-matrix / stratum pass over the
-// table each time. But for all three estimation methods the estimate for
-// ANY subgroup is a function of per-joint-confounder-stratum, per-arm
-// sufficient statistics:
+// CATE API. Step-2 mining scores every candidate treatment three times —
+// overall, protected, and non-protected CATE — and a per-call estimator
+// (the test-only oracle in tests/oracle/) redoes the full design-matrix /
+// stratum pass over the table each time. But for all three estimation
+// methods the estimate for ANY subgroup is a function of
+// per-joint-confounder-stratum, per-arm sufficient statistics:
 //
 //   * stratified:  per-(stratum, arm) {n, Σy, Σy²} reproduce the exact
 //     matching estimator bit for bit;
@@ -49,16 +49,17 @@ class ShardPlan;    // mining/shard_plan.h
 class TaskGroup;    // util/task_scheduler.h
 
 /// Quantile bin edges for a numeric confounder (the stratified method's
-/// binning). Shared by the legacy estimator's StratumIds and the
-/// partition build so the two can never drift.
+/// binning). Shared by the partition build and the test oracle's
+/// per-row stratum ids (tests/oracle/) so the two can never drift.
 std::vector<double> QuantileBinEdges(const Column& col, size_t bins);
 
 /// Hajek (self-normalized) IPW from materialized per-row propensity
 /// design rows: fits the logistic propensity model, clips, and assembles
 /// the weighted means and their linearized variance. The single shared
-/// implementation behind the legacy per-call IPW estimator and the
-/// engine's numeric-confounder fallback — the two must stay bit-for-bit
-/// identical for the pinning tests to mean anything.
+/// implementation behind the engine's numeric-confounder fallback and
+/// the test oracle's per-call IPW estimator (tests/oracle/) — the two
+/// must stay bit-for-bit identical for the pinning tests to mean
+/// anything.
 Result<CateEstimate> HajekIpwFromRows(const std::vector<double>& design,
                                       size_t n, size_t p,
                                       const std::vector<double>& labels,
@@ -74,7 +75,7 @@ Result<CateEstimate> HajekIpwFromRows(const std::vector<double>& design,
 /// attributes share one partition via shared_ptr.
 class ConfounderPartition {
  public:
-  /// One regression design feature (mirrors the legacy enumeration:
+  /// One regression design feature (mirrors the oracle's enumeration:
   /// categorical levels 1..k-1 one-hot, numeric attrs one column each).
   struct Feature {
     size_t attr;
@@ -83,7 +84,7 @@ class ConfounderPartition {
   };
 
   struct Cell {
-    /// The legacy stratified-estimator joint stratum id; -1 when any
+    /// The oracle stratified estimator's joint stratum id; -1 when any
     /// confounder is null in this cell (such rows are excluded from
     /// stratification but kept, zero-featured, by regression and IPW).
     int64_t stratum_id = -1;
@@ -128,7 +129,7 @@ class ConfounderPartition {
   const std::vector<int32_t>& cell_of_row() const { return cell_of_row_; }
   const std::vector<Cell>& cells() const { return cells_; }
   /// Cells with stratum_id >= 0, ascending by stratum_id — the iteration
-  /// order of the legacy stratified combine (a std::map over ids).
+  /// order of the oracle's stratified combine (a std::map over ids).
   const std::vector<uint32_t>& cells_by_stratum() const {
     return cells_by_stratum_;
   }
@@ -142,11 +143,11 @@ class ConfounderPartition {
   /// Overflow guard for the integer path: the largest row count for which
   /// every per-slot partial |Σy| and Σy² stays below 2^53 given this
   /// column's max |y| — below it the int64 totals, their double
-  /// conversions, AND the legacy ascending-row FP sums are all exact, so
+  /// conversions, AND the oracle's ascending-row FP sums are all exact, so
   /// the two paths are bit-identical. 0 unless outcome_is_integer.
   uint64_t safe_int_rows() const { return safe_int_rows_; }
   /// Cached numeric confounder column per numeric feature, with nulls as
-  /// 0.0 — exactly the value the legacy design-matrix build would use.
+  /// 0.0 — exactly the value the oracle's design-matrix build would use.
   const std::vector<std::vector<double>>& numeric_values() const {
     return numeric_values_;
   }
@@ -258,44 +259,6 @@ class CateStatsEngine {
                   std::shared_ptr<const Bitmap> treated,
                   std::shared_ptr<const ConfounderPartition> partition);
 
-  /// One pass over `group` rows answers all requested subgroups. When
-  /// `protected_mask` is non-null the accumulation is split on the
-  /// protected bit, yielding group ∩ protected and group ∩ ¬protected
-  /// without materializing either bitmap. `min_group_size` floors the
-  /// overall estimate's arms, `min_subgroup_size` the subgroup ones.
-  /// With `skip_subgroups_unless_positive`, the subgroup systems are only
-  /// solved when the overall estimate succeeded with CATE > 0 (the
-  /// Section 5.2 lattice prunes on the overall sign, so subgroup solves
-  /// for non-positive treatments would be wasted work).
-  CateSubgroupEstimates EstimateSubgroups(
-      const Bitmap& group, const Bitmap* protected_mask,
-      size_t min_group_size, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive = false) const;
-
-  /// Sharded variant: the accumulation pass fans out as child tasks of
-  /// `tasks` (one per shard of `plan`), each walking only its word-aligned
-  /// word range; shard partials merge by addition in ascending shard
-  /// order before the solves. Because TaskGroup::Wait() helps (executes
-  /// pending tasks instead of blocking), this is legal from inside
-  /// another task on the same scheduler — the Step-2 pattern x shard
-  /// graph nests exactly this call under each pattern task. The merge
-  /// order is fixed by the plan — not by thread scheduling — so a run is
-  /// deterministic for a given shard count, and all integer statistics
-  /// (arm counts, support) are exactly the unsharded values regardless
-  /// of shard count. With a null/schedulerless group or a single-shard
-  /// plan this is the unsharded path, bit for bit. `tasks` must be
-  /// quiescent (no pending tasks): the call uses it as its completion
-  /// barrier.
-  CateSubgroupEstimates EstimateSubgroups(
-      const Bitmap& group, const Bitmap* protected_mask,
-      size_t min_group_size, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive, const ShardPlan* plan,
-      TaskGroup* tasks) const;
-
-  /// Single-subgroup slice (the batch path with no protected split).
-  Result<CateEstimate> EstimateSubgroup(const Bitmap& group,
-                                        size_t min_group_size) const;
-
   /// Per-subgroup sufficient statistics, indexed cell-major with two arms
   /// (idx = 2*cell + arm; arm 1 = treated). Numeric moment blocks are
   /// allocated only for the regression method with numeric confounders.
@@ -382,11 +345,12 @@ class CateStatsEngine {
                            const SubgroupAccums& from) const;
 
   /// Solves the overall / protected / non-protected estimates from
-  /// already-accumulated stats, byte-identical to EstimateSubgroups over
-  /// the same group. Takes the accums by value (EnsureFp is destructive):
-  /// a caller that keeps its stats int-valid and mergeable passes a copy,
-  /// one that is done with them moves them in. `group` /
-  /// `protected_mask` are needed only by the IPW row-fallback re-walk.
+  /// already-accumulated stats (the second half of
+  /// CateEstimator::EstimateSubgroups). Takes the accums by value
+  /// (EnsureFp is destructive): a caller that keeps its stats int-valid
+  /// and mergeable passes a copy, one that is done with them moves them
+  /// in. `group` / `protected_mask` are needed only by the IPW
+  /// row-fallback re-walk.
   CateSubgroupEstimates SolveFromAccums(
       SubgroupAccums accums, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_group_size,
@@ -444,15 +408,8 @@ class CateStatsEngine {
   /// Converts an int-valid accum's outcome sums into its FP arrays (an
   /// exact conversion under the safe_int_rows guard) and clears
   /// int_valid. No-op on FP-valid accums. Solvers read only sy/syy, so
-  /// every accum is funneled through this before SolveSubgroups/Solve.
+  /// every accum is funneled through this before Solve.
   static void EnsureFp(Accum* acc);
-
-  /// The shared triple-solve tail of both EstimateSubgroups overloads.
-  CateSubgroupEstimates SolveSubgroups(
-      const Accum& overall, const Accum& prot, const Accum& nonprot,
-      const Bitmap& group, const Bitmap* protected_mask,
-      size_t min_group_size, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive) const;
 
   Result<CateEstimate> Solve(const Accum& acc, const Slice& slice,
                              size_t min_group_size) const;
@@ -462,7 +419,7 @@ class CateStatsEngine {
                                        size_t min_group_size) const;
   Result<CateEstimate> SolveIpw(const Accum& acc, const Slice& slice,
                                 size_t min_group_size) const;
-  /// Legacy-identical per-row IPW (numeric confounders vary within a
+  /// Oracle-identical per-row IPW (numeric confounders vary within a
   /// cell, so the propensity design is not cell-constant); still serves
   /// features from the partition's cached columns.
   Result<CateEstimate> SolveIpwRows(const Slice& slice,

@@ -6,10 +6,15 @@
 //
 // where T = 1 iff the row satisfies P_int, and Z is a backdoor adjustment
 // set derived from the DAG (parents of the treatment attributes).
-// Two estimators are provided:
+// Three methods are provided (CateMethod):
 //   * regression: O ~ alpha + beta*T + gamma' one-hot(Z); beta is the CATE
 //     (the default, mirroring DoWhy's linear-regression estimator);
-//   * stratified: exact matching over joint Z cells with overlap filtering.
+//   * stratified: exact matching over joint Z cells with overlap filtering;
+//   * IPW: Hajek inverse-propensity weighting with a logistic propensity
+//     model over Z.
+// All three are served by one path: the per-treatment sufficient-
+// statistics engine (causal/cate_stats_engine.h), which answers a group
+// and its protected / non-protected split from one pass over the rows.
 
 #ifndef FAIRCAP_CAUSAL_ESTIMATOR_H_
 #define FAIRCAP_CAUSAL_ESTIMATOR_H_
@@ -90,9 +95,9 @@ struct CateSubgroupEstimates {
 
 /// Estimates CATE values for intervention patterns over subpopulations of
 /// a fixed DataFrame under a fixed causal DAG. Thread-safe: internal
-/// caches (adjustment sets, stratum ids, per-treatment engines) are
-/// mutex-guarded so the mining phase can fan out across grouping
-/// patterns. The table must not be mutated while the estimator lives.
+/// caches (adjustment sets, per-treatment engines) are mutex-guarded so
+/// the mining phase can fan out across grouping patterns. The table must
+/// not be mutated while the estimator lives.
 class CateEstimator {
  public:
   /// `df` and `dag` must outlive the estimator. DAG node names are matched
@@ -102,50 +107,34 @@ class CateEstimator {
                                       const CausalDag* dag,
                                       CateOptions options = {});
 
-  /// Estimates the effect of `intervention` (T=1 iff the pattern matches)
-  /// on the outcome within the rows selected by `group`.
-  /// Fails (FailedPrecondition) when either arm is smaller than
-  /// `min_group_size` or no stratum has overlap.
-  Result<CateEstimate> Estimate(const Pattern& intervention,
-                                const Bitmap& group) const;
-
-  /// Same, with a per-call overlap floor (used for protected /
-  /// non-protected subgroup estimates, which are smaller than the full
-  /// group). `min_group_size` == 0 falls back to the configured floor.
-  Result<CateEstimate> Estimate(const Pattern& intervention,
-                                const Bitmap& group,
-                                size_t min_group_size) const;
-
-  /// Batch sufficient-statistics path: estimates the intervention's
-  /// effect within `group` and, when `protected_mask` is non-null, within
-  /// group ∩ protected and group ∩ ¬protected — one word-driven pass over
-  /// the table (CateStatsEngine) instead of three design-matrix rebuilds,
-  /// and no non-protected bitmap is ever materialized. Engines are cached
+  /// Estimates the effect of `intervention` (T=1 iff the pattern
+  /// matches) on the outcome within `group` and, when `protected_mask` is
+  /// non-null, within group ∩ protected and group ∩ ¬protected — one
+  /// word-driven pass over the table (CateStatsEngine), and no
+  /// non-protected bitmap is ever materialized. The overall estimate
+  /// fails (FailedPrecondition) when either arm is smaller than the
+  /// configured min_group_size or no stratum has overlap; the call itself
+  /// fails when the intervention is empty or invalid. Engines are cached
   /// per treatment and confounder partitions per adjustment set (LRU +
   /// shared ownership, like the PredicateIndex conjunction cache).
   /// `min_subgroup_size` floors the two subgroup estimates (0 = the
   /// configured min_group_size). With `skip_subgroups_unless_positive`
   /// the subgroup systems are solved only when the overall CATE came out
-  /// positive (the lattice prunes on the overall sign). The legacy
-  /// Estimate() path is kept verbatim as the pinning oracle.
+  /// positive (the lattice prunes on the overall sign).
+  ///
+  /// With a multi-shard `plan` the accumulation pass fans out as child
+  /// tasks of `tasks`, one per word-aligned shard, with shard partials
+  /// merged in ascending shard order before the solves (see
+  /// CateStatsEngine::AccumulateBatch). Legal from inside another task on
+  /// the same scheduler — Wait() helps instead of blocking. Null
+  /// `plan`/`tasks` (or a single-shard plan) is the unsharded pass.
+  /// `tasks` must be quiescent: the call uses it as its completion
+  /// barrier.
   Result<CateSubgroupEstimates> EstimateSubgroups(
       const Pattern& intervention, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size = 0,
-      bool skip_subgroups_unless_positive = false) const;
-
-  /// Sharded batch path: the engine's accumulation pass fans out as
-  /// child tasks of `tasks`, one per word-aligned shard of `plan`, with
-  /// shard partials merged in ascending shard order before the solves
-  /// (see CateStatsEngine::EstimateSubgroups). Legal from inside another
-  /// task on the same scheduler — Wait() helps instead of blocking.
-  /// Null `plan`/`tasks` (or a single-shard plan) is exactly the
-  /// unsharded batch path. `tasks` must be quiescent: the call uses it
-  /// as its completion barrier.
-  Result<CateSubgroupEstimates> EstimateSubgroups(
-      const Pattern& intervention, const Bitmap& group,
-      const Bitmap* protected_mask, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive, const ShardPlan* plan,
-      TaskGroup* tasks) const;
+      bool skip_subgroups_unless_positive = false,
+      const ShardPlan* plan = nullptr, TaskGroup* tasks = nullptr) const;
 
   /// Treatment-batched form of EstimateSubgroups: one result per
   /// intervention, in order, each byte-identical to its own
@@ -183,9 +172,8 @@ class CateEstimator {
   };
 
   /// Brings the cached state current after rows were appended to the
-  /// table (DataFrame::AppendFrame). Per-row stratum ids are dropped
-  /// (cheap to rebuild); adjustment sets are kept (schema/DAG-only).
-  /// Every live confounder partition is extended in place over the delta
+  /// table (DataFrame::AppendFrame). Adjustment sets are kept
+  /// (schema/DAG-only). Every live confounder partition is extended in place over the delta
   /// rows where possible (purely categorical confounders with no new
   /// categories — see ConfounderPartition::ExtendInPlace) and each cached
   /// engine is re-pointed at the extended partition and the lazily
@@ -226,27 +214,6 @@ class CateEstimator {
   CateEstimator(const DataFrame* df, const CausalDag* dag,
                 CateOptions options, size_t outcome_attr, size_t outcome_node);
 
-  Result<CateEstimate> EstimateRegression(
-      const Bitmap& treated, const Bitmap& group,
-      const std::vector<size_t>& adjustment, size_t min_group_size) const;
-  Result<CateEstimate> EstimateStratified(
-      const Bitmap& treated, const Bitmap& group,
-      const std::vector<size_t>& adjustment, size_t min_group_size) const;
-  Result<CateEstimate> EstimateIpw(const Bitmap& treated, const Bitmap& group,
-                                   const std::vector<size_t>& adjustment,
-                                   size_t min_group_size) const;
-
-  /// Joint stratum id per row over `adjustment` attrs (numeric attrs are
-  /// quantile-binned); -1 where any confounder is null.
-  std::vector<int64_t> StratumIds(const std::vector<size_t>& adjustment) const;
-
-  /// Memoized StratumIds, keyed by the adjustment attr list. The ids
-  /// depend only on (table, adjustment, binning options), so every
-  /// Estimate call for a treatment over the same attributes shares one
-  /// computation; mutex-guarded like the adjustment cache.
-  std::shared_ptr<const std::vector<int64_t>> StratumIdsCached(
-      const std::vector<size_t>& adjustment) const;
-
   /// Confounder partition for `adjustment`, built once and shared across
   /// every treatment with the same attributes (weak-cached: alive as long
   /// as some engine holds it).
@@ -270,9 +237,6 @@ class CateEstimator {
   std::unique_ptr<Mutex> mu_;
   mutable std::unordered_map<std::string, std::vector<size_t>>
       adjustment_cache_ GUARDED_BY(*mu_);
-  mutable std::unordered_map<std::string,
-                             std::shared_ptr<const std::vector<int64_t>>>
-      stratum_cache_ GUARDED_BY(*mu_);
 
   // Per-treatment engine cache: Pattern::Key() -> engine, with an LRU
   // list (most-recent first) driving byte-budget eviction. Partitions are

@@ -34,6 +34,8 @@ constexpr const char* kStandardCounters[] = {
     "ingest.bytes",
     "ingest.chunks",
     "ingest.segments",
+    // Always 0: the per-call estimator left the library. Kept until the
+    // next schema version so v1 parsers can still index it.
     "estimation.legacy_calls",
     "estimation.batch_evals",
     "estimation.solve_regression",

@@ -22,7 +22,8 @@
 //     "estimation":   { legacy_calls, batch_evals, batched_passes,
 //                       batch_width {count, sum, buckets},
 //                       solve_regression, solve_stratified,
-//                       solve_ipw_cells, solve_ipw_rows },
+//                       solve_ipw_cells, solve_ipw_rows }
+//                     (legacy_calls is always 0; kept for v1 parsers),
 //     "mining":       { lattice_evaluations, pattern_tasks, ... }
 //   }
 // Extra metrics registered by future subsystems appear as extra keys /

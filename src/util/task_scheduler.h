@@ -1,5 +1,5 @@
 // TaskScheduler: work-stealing execution engine behind every parallel
-// phase of the pipeline. The fixed ThreadPool it replaces had one global
+// phase of the pipeline. The fixed thread pool it replaced had one global
 // FIFO and a blocking Wait(), so a task could never wait for child tasks
 // on the same pool — sharded Step-2 mining had to serialize grouping
 // patterns and run only the shard axis in parallel. Here each worker owns

@@ -1,7 +1,8 @@
 // Property tests pinning the CateStatsEngine batch path against the
-// legacy per-call estimator: for every method (regression / stratified /
-// IPW), every subgroup estimate served by EstimateSubgroups must match
-// what three independent CateEstimator::Estimate calls produce —
+// legacy per-call estimator (the test oracle, tests/oracle/): for every
+// method (regression / stratified / IPW), every subgroup estimate served
+// by EstimateSubgroups must match what three independent
+// oracle::LegacyEstimate calls produce —
 // bit-for-bit for the stratified combine and the per-row IPW fallback,
 // within tight tolerance where only floating-point summation order
 // differs (regression normal equations, grouped IRLS).
@@ -17,6 +18,7 @@
 #include "data/german.h"
 #include "ingest/synthetic.h"
 #include "mining/shard_plan.h"
+#include "oracle/legacy_estimator.h"
 #include "util/obs/metrics.h"
 #include "util/random.h"
 #include "util/simd/simd.h"
@@ -85,17 +87,19 @@ void ExpectBatchMatchesLegacy(const CateEstimator& est,
       est.EstimateSubgroups(intervention, group, &protected_mask, min_sub);
   ASSERT_TRUE(batch.ok()) << label << ": " << batch.status().ToString();
 
-  ExpectSameEstimate(batch->overall, est.Estimate(intervention, group), tol,
+  ExpectSameEstimate(batch->overall,
+                     oracle::LegacyEstimate(est, intervention, group), tol,
                      label + "/overall");
   const Bitmap prot = group & protected_mask;
   ExpectSameEstimate(batch->protected_group,
-                     est.Estimate(intervention, prot, min_sub), tol,
-                     label + "/protected");
+                     oracle::LegacyEstimate(est, intervention, prot, min_sub),
+                     tol, label + "/protected");
   Bitmap nonprot = group;
   nonprot.AndNot(protected_mask);
   ExpectSameEstimate(batch->nonprotected,
-                     est.Estimate(intervention, nonprot, min_sub), tol,
-                     label + "/nonprotected");
+                     oracle::LegacyEstimate(est, intervention, nonprot,
+                                            min_sub),
+                     tol, label + "/nonprotected");
 }
 
 // Random subgroup bitmap with the given set-bit density.
@@ -340,6 +344,25 @@ TEST(CateStatsEngineCacheTest, PartitionsAreSharedAcrossSameAttrTreatments) {
   EXPECT_EQ(stats.partitions, 1u);
 }
 
+// One engine's overall estimate within `group`: a single-engine
+// accumulation pass and its solve, with no protected split.
+Result<CateEstimate> EngineOverall(const CateStatsEngine& engine,
+                                   const Bitmap& group,
+                                   size_t min_group_size) {
+  Result<CateEstimate> out = Status::Internal("not accumulated");
+  CateStatsEngine::AccumulateBatch(
+      {&engine}, group, /*protected_mask=*/nullptr, /*plan=*/nullptr,
+      /*tasks=*/nullptr,
+      [&](size_t, CateStatsEngine::SubgroupAccums accums) {
+        out = engine
+                  .SolveFromAccums(std::move(accums), group,
+                                   /*protected_mask=*/nullptr,
+                                   min_group_size, min_group_size)
+                  .overall;
+      });
+  return out;
+}
+
 TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
   const EdgeData data = MakeEdgeData(1000, 82);
   auto est = CateEstimator::Create(&data.df, &data.dag);
@@ -351,7 +374,7 @@ TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
   const Pattern t_yes({Predicate(t, CompareOp::kEq, Value("yes"))});
   const auto held = est->EngineFor(t_yes);
   ASSERT_TRUE(held.ok());
-  const Result<CateEstimate> before = (*held)->EstimateSubgroup(all, 10);
+  const Result<CateEstimate> before = EngineOverall(**held, all, 10);
 
   // A 1-byte budget keeps only the most recently used engine.
   est->SetEngineMemoryBudget(1);
@@ -363,32 +386,11 @@ TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
   EXPECT_EQ(stats.engines, 1u);
 
   // The held engine still answers, identically, after eviction.
-  const Result<CateEstimate> after = (*held)->EstimateSubgroup(all, 10);
+  const Result<CateEstimate> after = EngineOverall(**held, all, 10);
   ASSERT_EQ(before.ok(), after.ok());
   if (before.ok()) {
     EXPECT_EQ(before->cate, after->cate);
   }
-}
-
-TEST(CateStatsEngineCacheTest, LegacyStratumIdsAreCachedAcrossCalls) {
-  // The satellite fix: repeated legacy stratified Estimate calls for the
-  // same treatment attributes must not recompute StratumIds (observable
-  // indirectly: results stay identical and the calls get much cheaper;
-  // here we just pin correctness of the cached path).
-  const EdgeData data = MakeEdgeData(1500, 83);
-  CateOptions options;
-  options.method = CateMethod::kStratified;
-  const auto est = CateEstimator::Create(&data.df, &data.dag, options);
-  ASSERT_TRUE(est.ok());
-  const size_t t = *data.df.schema().IndexOf("T");
-  const Pattern intervention({Predicate(t, CompareOp::kEq, Value("yes"))});
-  const Bitmap all = data.df.AllRows();
-  const auto first = est->Estimate(intervention, all);
-  const auto second = est->Estimate(intervention, all);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->cate, second->cate);
-  EXPECT_EQ(first->std_error, second->std_error);
 }
 
 // ---------------------------------------------------------------------

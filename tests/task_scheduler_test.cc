@@ -184,5 +184,85 @@ TEST(TaskSchedulerTest, StatsCountSubmittedAndExecuted) {
   EXPECT_EQ(stats.submitted, stats.executed);
 }
 
+TEST(TaskSchedulerTest, WaitIsIdempotent) {
+  TaskScheduler scheduler(2);
+  TaskGroup group(&scheduler);
+  std::atomic<int> counter{0};
+  group.Submit([&counter] { counter.fetch_add(1); });
+  group.Wait();
+  group.Wait();
+  EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(TaskSchedulerTest, ParallelForZeroIsNoop) {
+  TaskScheduler scheduler(2);
+  bool touched = false;
+  scheduler.ParallelFor(0, [&touched](size_t) { touched = true; });
+  EXPECT_FALSE(touched);
+}
+
+TEST(TaskSchedulerTest, ParallelForFewerItemsThanThreads) {
+  TaskScheduler scheduler(8);
+  std::atomic<int> sum{0};
+  scheduler.ParallelFor(
+      3, [&sum](size_t i) { sum.fetch_add(static_cast<int>(i)); });
+  EXPECT_EQ(sum.load(), 3);  // 0 + 1 + 2
+}
+
+TEST(TaskSchedulerTest, DefaultsToAtLeastOneThread) {
+  TaskScheduler scheduler(0);
+  EXPECT_GE(scheduler.num_threads(), 1u);
+}
+
+// Three levels of nested ParallelFor on a single worker: every inner
+// loop must complete even though the only worker is inside the outer
+// one (a pool with a blocking Wait could not run the first inner loop).
+TEST(TaskSchedulerTest, DeeplyNestedParallelForOnOneWorker) {
+  TaskScheduler scheduler(1);
+  std::atomic<int> count{0};
+  scheduler.ParallelFor(3, [&](size_t) {
+    scheduler.ParallelFor(3, [&](size_t) {
+      scheduler.ParallelFor(3, [&](size_t) { count.fetch_add(1); });
+    });
+  });
+  EXPECT_EQ(count.load(), 27);
+}
+
+// Wait() from inside one of the group's own tasks must not wait for
+// itself: it completes once every *other* pending task has finished.
+TEST(TaskSchedulerTest, WaitFromWorkerCompletes) {
+  TaskScheduler scheduler(2);
+  TaskGroup group(&scheduler);
+  std::atomic<int> others{0};
+  std::atomic<bool> waited{false};
+  for (int i = 0; i < 16; ++i) {
+    group.Submit([&] { others.fetch_add(1); });
+  }
+  group.Submit([&] {
+    group.Wait();  // must not deadlock on itself
+    EXPECT_EQ(others.load(), 16);
+    waited.store(true);
+  });
+  group.Wait();
+  EXPECT_TRUE(waited.load());
+}
+
+// A task submitting more work into its own group and then waiting for it.
+TEST(TaskSchedulerTest, SubmitThenWaitFromWorker) {
+  TaskScheduler scheduler(2);
+  TaskGroup group(&scheduler);
+  std::atomic<int> counter{0};
+  group.Submit([&] {
+    for (int i = 0; i < 8; ++i) {
+      group.Submit([&] { counter.fetch_add(1); });
+    }
+    group.Wait();
+    EXPECT_EQ(counter.load(), 8);
+    counter.fetch_add(100);
+  });
+  group.Wait();
+  EXPECT_EQ(counter.load(), 108);
+}
+
 }  // namespace
 }  // namespace faircap
