@@ -24,7 +24,10 @@ namespace {
 // per treatment (a walk serving K treatments adds K times), so rows per
 // evaluation compare like with like across batch widths;
 // simd.cate_walk_rows, estimation.batched_passes and batch_width describe
-// the walks themselves.
+// the walks themselves (table passes included). The cell shortcuts count
+// per treatment: split_from_cells for a protected split routed from
+// cells, groups_from_cells for a group served with no walk;
+// table_pass_rows counts the rows of the table passes behind the latter.
 struct AccumMetrics {
   obs::Counter& accumulate_rows;
   obs::Counter& walk_rows;
@@ -33,6 +36,9 @@ struct AccumMetrics {
   obs::Counter& path_fp_staged;
   obs::Counter& path_sparse;
   obs::Counter& batched_passes;
+  obs::Counter& split_from_cells;
+  obs::Counter& groups_from_cells;
+  obs::Counter& table_pass_rows;
   obs::Histogram& batch_width;
 };
 
@@ -46,6 +52,9 @@ AccumMetrics& Metrics() {
       r.GetCounter("estimation.accumulate_path_fp_staged"),
       r.GetCounter("estimation.accumulate_path_sparse"),
       r.GetCounter("estimation.batched_passes"),
+      r.GetCounter("estimation.split_from_cells"),
+      r.GetCounter("estimation.groups_from_cells"),
+      r.GetCounter("estimation.table_pass_rows"),
       r.GetHistogram("estimation.batch_width"),
   };
   return *metrics;
@@ -230,6 +239,11 @@ Result<std::shared_ptr<const ConfounderPartition>> ConfounderPartition::Build(
         "key, a mixed radix over " + std::to_string(adjustment.size()) +
         " confounders, overflows int64 and would merge distinct cells");
   }
+  int64_t stride = 1;
+  for (size_t a = part->confs_.size(); a-- > 0;) {
+    part->confs_[a].stride = stride;
+    stride *= part->confs_[a].base;
+  }
 
   // Cache the numeric confounder columns with nulls as 0.0 — exactly the
   // value the oracle design-matrix build substitutes.
@@ -385,7 +399,10 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
       outcome_[r] = y[r];
       const int32_t next = static_cast<int32_t>(cells_.size());
       const int32_t cell = cell_ids_.FindOrInsert(keys[i], next);
-      if (cell == next) cells_.push_back(make_cell(keys[i]));
+      if (cell == next) {
+        cells_.push_back(make_cell(keys[i]));
+        cell_keys_.push_back(keys[i]);
+      }
       cell_of_row_[r] = cell;
     }
   }
@@ -454,6 +471,7 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   size_t bytes = cell_of_row_.size() * sizeof(int32_t) +
                  outcome_.size() * sizeof(double) +
                  outcome_i64_.size() * sizeof(int64_t) +
+                 cell_keys_.size() * sizeof(int64_t) +
                  cells_by_stratum_.size() * sizeof(uint32_t);
   for (const auto& vals : numeric_values_) {
     bytes += vals.size() * sizeof(double);
@@ -465,6 +483,78 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   bytes += cell_ids_.bytes();
   bytes_ = bytes;
   rows_covered_ = n;
+
+  // An extension appends cells: extend the memoized membership over them
+  // (a fresh vector — holders of the old one keep a consistent view).
+  MutexLock lock(memo_mu_);
+  if (memo_ != nullptr && memo_->aligned &&
+      memo_->cells->size() < cells_.size()) {
+    auto grown = std::make_shared<std::vector<uint8_t>>(*memo_->cells);
+    const size_t old_cells = grown->size();
+    grown->resize(cells_.size(), 0);
+    MarkCells(memo_->terms, old_cells, grown.get());
+    memo_->cells = std::move(grown);
+  }
+}
+
+bool ConfounderPartition::ResolveCellTerms(const DataFrame& df,
+                                           const Pattern& pattern,
+                                           std::vector<CellTerm>* terms) const {
+  terms->clear();
+  for (const Predicate& pred : pattern.predicates()) {
+    if (pred.op != CompareOp::kEq || !pred.value.is_string()) return false;
+    const auto conf = std::find_if(
+        confs_.begin(), confs_.end(),
+        [&](const ConfLayout& info) { return info.attr == pred.attr; });
+    if (conf == confs_.end() || !conf->categorical) return false;
+    // A category the dictionary lacks matches no row — and no cell.
+    const Result<int32_t> code = df.column(pred.attr).CodeOf(pred.value.str());
+    terms->push_back({static_cast<size_t>(conf - confs_.begin()),
+                      code.ok() ? int64_t{*code} : -1});
+  }
+  return true;
+}
+
+void ConfounderPartition::MarkCells(const std::vector<CellTerm>& terms,
+                                    size_t begin,
+                                    std::vector<uint8_t>* member) const {
+  // A null confounder takes digit base - 1, which no term asks for, so
+  // null-digit cells fall outside every equality, as their rows do.
+  for (size_t c = begin; c < member->size(); ++c) {
+    bool in = true;
+    for (const CellTerm& term : terms) {
+      const ConfLayout& info = confs_[term.conf];
+      in = in && (cell_keys_[c] / info.stride) % info.base == term.digit;
+    }
+    (*member)[c] = in ? 1 : 0;
+  }
+}
+
+std::shared_ptr<const std::vector<uint8_t>> ConfounderPartition::CellsMatching(
+    const DataFrame& df, const Pattern& pattern) const {
+  std::vector<CellTerm> terms;
+  if (!ResolveCellTerms(df, pattern, &terms)) return nullptr;
+  auto member = std::make_shared<std::vector<uint8_t>>(cells_.size(), 0);
+  MarkCells(terms, 0, member.get());
+  return member;
+}
+
+std::shared_ptr<const std::vector<uint8_t>>
+ConfounderPartition::MemoCellsMatching(const DataFrame& df,
+                                       const Pattern& pattern) const {
+  MutexLock lock(memo_mu_);
+  if (memo_ == nullptr || !(memo_->pattern == pattern)) {
+    auto memo = std::make_unique<CellMemo>();
+    memo->pattern = pattern;
+    memo->aligned = ResolveCellTerms(df, pattern, &memo->terms);
+    if (memo->aligned) {
+      auto member = std::make_shared<std::vector<uint8_t>>(cells_.size(), 0);
+      MarkCells(memo->terms, 0, member.get());
+      memo->cells = std::move(member);
+    }
+    memo_ = std::move(memo);
+  }
+  return memo_->cells;
 }
 
 CateStatsEngine::CateStatsEngine(
@@ -482,8 +572,22 @@ size_t CateStatsEngine::bytes() const {
   // PredicateIndex may have evicted its own copy), so its words count
   // against whoever budgets the engine.
   const size_t mask_bytes = ((treated_->size() + 63) / 64) * sizeof(uint64_t);
+  MutexLock lock(table_mu_);
+  const size_t table_bytes =
+      table_ != nullptr ? table_->shards.size() * AccumBytes() : 0;
   return sizeof(CateStatsEngine) + adjustment_.size() * sizeof(size_t) +
-         mask_bytes;
+         mask_bytes + table_bytes;
+}
+
+size_t CateStatsEngine::AccumBytes() const {
+  const size_t slots = partition_->cells().size() * 2 + 2;
+  const size_t m = partition_->num_numeric();
+  size_t slot_bytes = sizeof(uint32_t) + 2 * sizeof(double);
+  if (int_path_enabled()) slot_bytes += 2 * sizeof(int64_t);
+  if (need_moments()) {
+    slot_bytes += (2 * m + m * (m + 1) / 2) * sizeof(double);
+  }
+  return slots * slot_bytes;
 }
 
 CateStatsEngine::Accum CateStatsEngine::MakeAccum() const {
@@ -606,20 +710,191 @@ void CateStatsEngine::AccumulateRange(const CateStatsEngine* const* engines,
   }
 }
 
-void CateStatsEngine::AccumulateChunk(const CateStatsEngine* const* engines,
-                                      size_t count, const Bitmap& group,
-                                      const Bitmap* protected_mask,
-                                      const ShardPlan* plan, TaskGroup* tasks,
-                                      SubgroupAccums* outs) {
-  RecordPass(count);
-  const bool split = protected_mask != nullptr;
+namespace {
+
+// Copies every statistic of cell c's two (cell, arm) slots.
+void CopyCellSlots(const CateStatsEngine::Accum& from, size_t c, size_t m,
+                   CateStatsEngine::Accum* to) {
+  const size_t i = 2 * c;
+  const auto copy = [i](const auto& src, auto& dst, size_t width) {
+    if (src.empty()) return;
+    std::copy_n(src.begin() + static_cast<ptrdiff_t>(i * width), 2 * width,
+                dst.begin() + static_cast<ptrdiff_t>(i * width));
+  };
+  copy(from.n, to->n, 1);
+  copy(from.sy, to->sy, 1);
+  copy(from.syy, to->syy, 1);
+  copy(from.isy, to->isy, 1);
+  copy(from.isyy, to->isyy, 1);
+  copy(from.zsum, to->zsum, m);
+  copy(from.zysum, to->zysum, m);
+  copy(from.zzsum, to->zzsum, m * (m + 1) / 2);
+}
+
+// The word ranges a plan walks (the whole bitmap when unsharded).
+std::vector<std::pair<size_t, size_t>> PlanRanges(const ShardPlan* plan,
+                                                  size_t num_words) {
+  std::vector<std::pair<size_t, size_t>> ranges;
   if (plan == nullptr || plan->num_shards() <= 1) {
-    for (size_t k = 0; k < count; ++k) {
-      outs[k] = engines[k]->MakeSubgroupAccums(split);
+    ranges.emplace_back(0, num_words);
+    return ranges;
+  }
+  for (const ShardPlan::Shard& shard : plan->shards()) {
+    ranges.emplace_back(shard.word_begin, shard.word_end);
+  }
+  return ranges;
+}
+
+}  // namespace
+
+void CateStatsEngine::FillFromCells(const Accum* table,
+                                    const std::vector<uint8_t>* group,
+                                    const std::vector<uint8_t>* prot,
+                                    SubgroupAccums* out) const {
+  const size_t cells = partition_->cells().size();
+  const size_t m = partition_->num_numeric();
+  if (table != nullptr) {
+    for (size_t c = 0; c < cells; ++c) {
+      if ((*group)[c] != 0) CopyCellSlots(*table, c, m, &out->overall);
     }
-    AccumulateRange(engines, count, group, protected_mask, 0,
-                    group.num_words(), outs);
-    return;
+    DeriveCounts(&out->overall);
+    out->overall.int_valid = table->int_valid;
+  }
+  if (prot != nullptr) {
+    for (size_t c = 0; c < cells; ++c) {
+      CopyCellSlots(out->overall, c, m,
+                    (*prot)[c] != 0 ? &out->prot : &out->nonprot);
+    }
+    DeriveCounts(&out->prot);
+    DeriveCounts(&out->nonprot);
+    out->prot.int_valid = out->overall.int_valid;
+    out->nonprot.int_valid = out->overall.int_valid;
+  }
+}
+
+std::vector<std::shared_ptr<const CateStatsEngine::TableAccums>>
+CateStatsEngine::TableAccumsFor(const CateStatsEngine* const* engines,
+                                size_t count, size_t num_rows,
+                                const ShardPlan* plan, TaskGroup* tasks,
+                                size_t* built) {
+  const std::vector<std::pair<size_t, size_t>> ranges =
+      PlanRanges(plan, (num_rows + 63) / 64);
+  // A cached table serves only the plan it was built for, and only while
+  // the partition has the cells it saw (an in-place extension adds some).
+  const size_t slots = engines[0]->partition_->cells().size() * 2 + 2;
+  const auto current = [&](const std::shared_ptr<const TableAccums>& table) {
+    return table != nullptr && table->ranges == ranges &&
+           table->shards[0].n.size() == slots;
+  };
+  std::vector<std::shared_ptr<const TableAccums>> tables(count);
+  std::vector<const CateStatsEngine*> missing;
+  std::vector<size_t> missing_at;
+  for (size_t k = 0; k < count; ++k) {
+    {
+      const CateStatsEngine& engine = *engines[k];
+      MutexLock lock(engine.table_mu_);
+      tables[k] = engine.table_;
+    }
+    if (!current(tables[k])) {
+      missing.push_back(engines[k]);
+      missing_at.push_back(k);
+    }
+  }
+  if (!missing.empty()) {
+    // One batched, sharded pass over every row for the engines that lack
+    // table accums — the same walk a group of all rows would take, minus
+    // the protected split. Built outside the engines' locks: the shard
+    // fan-out may help-run tasks that reach for the same engine.
+    const obs::TraceSpan span("table_pass");
+    const Bitmap all(num_rows, /*value=*/true);
+    const size_t width = missing.size();
+    std::vector<std::vector<SubgroupAccums>> parts(ranges.size());
+    const auto accumulate_shard = [&](size_t s) {
+      parts[s].reserve(width);
+      for (const CateStatsEngine* engine : missing) {
+        parts[s].push_back(engine->MakeSubgroupAccums(/*split=*/false));
+      }
+      AccumulateRange(missing.data(), width, all, nullptr, ranges[s].first,
+                      ranges[s].second, parts[s].data());
+    };
+    RecordPass(width);
+    if (tasks == nullptr || ranges.size() <= 1) {
+      for (size_t s = 0; s < ranges.size(); ++s) accumulate_shard(s);
+    } else {
+      tasks->ParallelFor(ranges.size(), accumulate_shard);
+    }
+    Metrics().table_pass_rows.Add(num_rows);
+    for (size_t j = 0; j < width; ++j) {
+      const CateStatsEngine& engine = *missing[j];
+      auto table = std::make_shared<TableAccums>();
+      table->ranges = ranges;
+      table->usable = true;
+      for (auto& part : parts) {
+        // Without the int64 path no partial is int-valid, walked or not.
+        table->usable = table->usable && part[j].overall.int_valid ==
+                                             engine.int_path_enabled();
+        table->shards.push_back(std::move(part[j].overall));
+      }
+      MutexLock lock(engine.table_mu_);
+      if (!current(engine.table_)) {
+        engine.table_ = std::move(table);
+        ++*built;
+      }
+      tables[missing_at[j]] = engine.table_;
+    }
+  }
+  for (const auto& table : tables) {
+    if (!table->usable) return {};
+  }
+  return tables;
+}
+
+size_t CateStatsEngine::AccumulateChunk(const CateStatsEngine* const* engines,
+                                        size_t count, const Bitmap& group,
+                                        const Bitmap* protected_mask,
+                                        CellShortcuts cells,
+                                        const ShardPlan* plan,
+                                        TaskGroup* tasks,
+                                        SubgroupAccums* outs) {
+  const bool split = protected_mask != nullptr;
+  const std::vector<uint8_t>* prot_cells = cells.prot;
+  // The walk splits on the protected bit only when the cells cannot.
+  const Bitmap* walk_protected = prot_cells != nullptr ? nullptr
+                                                       : protected_mask;
+  std::vector<std::shared_ptr<const TableAccums>> tables;
+  size_t built = 0;
+  if (cells.group != nullptr) {
+    tables = TableAccumsFor(engines, count, group.size(), plan, tasks, &built);
+  }
+  const bool from_table = !tables.empty();
+  AccumMetrics& metrics = Metrics();
+  if (from_table) metrics.groups_from_cells.Add(count);
+  if (prot_cells != nullptr) metrics.split_from_cells.Add(count);
+  if (!from_table) RecordPass(count);
+
+  // Fills one shard's (or the unsharded pass's) fresh partials: from the
+  // table accums, or by walking the shard's word range; then routes the
+  // protected split from cells.
+  const auto fill = [&](size_t s, size_t word_begin, size_t word_end,
+                        SubgroupAccums* partial) {
+    for (size_t k = 0; k < count; ++k) {
+      partial[k] = engines[k]->MakeSubgroupAccums(split);
+    }
+    if (!from_table) {
+      AccumulateRange(engines, count, group, walk_protected, word_begin,
+                      word_end, partial);
+    }
+    if (from_table || prot_cells != nullptr) {
+      for (size_t k = 0; k < count; ++k) {
+        engines[k]->FillFromCells(
+            from_table ? &tables[k]->shards[s] : nullptr, cells.group,
+            prot_cells, &partial[k]);
+      }
+    }
+  };
+  if (plan == nullptr || plan->num_shards() <= 1) {
+    fill(0, 0, group.num_words(), outs);
+    return built;
   }
   assert(plan->num_rows() == group.size());
   const size_t shards = plan->num_shards();
@@ -632,14 +907,11 @@ void CateStatsEngine::AccumulateChunk(const CateStatsEngine* const* engines,
   auto accumulate_shard = [&](size_t s) {
     const obs::TraceSpan shard_span("shard", static_cast<int64_t>(s));
     const ShardPlan::Shard& shard = plan->shard(s);
-    parts[s].reserve(count);
-    for (size_t k = 0; k < count; ++k) {
-      parts[s].push_back(engines[k]->MakeSubgroupAccums(split));
-    }
-    AccumulateRange(engines, count, group, protected_mask, shard.word_begin,
-                    shard.word_end, parts[s].data());
+    parts[s].resize(count);
+    fill(s, shard.word_begin, shard.word_end, parts[s].data());
   };
-  if (tasks == nullptr) {
+  if (tasks == nullptr || from_table) {
+    // Deriving from the table copies O(cells) slots: no fan-out needed.
     for (size_t s = 0; s < shards; ++s) accumulate_shard(s);
   } else {
     // Child tasks of the caller's group; Wait() inside ParallelFor helps
@@ -662,6 +934,7 @@ void CateStatsEngine::AccumulateChunk(const CateStatsEngine* const* engines,
       }
     }
   }
+  return built;
 }
 
 std::vector<std::vector<size_t>> CateStatsEngine::GroupByPartition(
@@ -682,33 +955,49 @@ std::vector<std::vector<size_t>> CateStatsEngine::GroupByPartition(
   return batches;
 }
 
-void CateStatsEngine::AccumulateBatch(
+size_t CateStatsEngine::AccumulateBatch(
     const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
-    const Bitmap* protected_mask, const ShardPlan* plan, TaskGroup* tasks,
+    const Pattern* group_pattern, const Bitmap* protected_mask,
+    const Pattern* protected_pattern, const ShardPlan* plan, TaskGroup* tasks,
     const AccumsConsumer& consume) {
-  if (engines.empty()) return;
+  if (engines.empty()) return 0;
+  const CateStatsEngine& lead = *engines[0];
+  const ConfounderPartition& part = *lead.partition_;
+  // Cell memberships, resolved once for the whole batch (one partition).
+  // The group shortcut needs table accums, which are unsplit, so a
+  // requested split must come from cells too; and only cache-sized table
+  // accums are kept, so a wide partition walks as before.
+  std::shared_ptr<const std::vector<uint8_t>> prot_cells, group_cells;
+  if (protected_mask != nullptr && protected_pattern != nullptr) {
+    prot_cells = part.MemoCellsMatching(*lead.df_, *protected_pattern);
+  }
+  const size_t shards =
+      plan == nullptr ? 1 : std::max<size_t>(1, plan->num_shards());
+  if (group_pattern != nullptr &&
+      (protected_mask == nullptr || prot_cells != nullptr) &&
+      shards * lead.AccumBytes() <= kBatchAccumBytes) {
+    group_cells = part.CellsMatching(*lead.df_, *group_pattern);
+  }
+  assert(prot_cells == nullptr || prot_cells->size() == part.cells().size());
+  const CellShortcuts cells{group_cells.get(), prot_cells.get()};
+
   // Split the batch so one walk's accumulators fit kBatchAccumBytes: the
   // width follows from the partition's cells and the accum shape alone.
-  const CateStatsEngine& lead = *engines[0];
-  const size_t slots = lead.partition_->cells().size() * 2;
-  const size_t m = lead.partition_->num_numeric();
-  size_t slot_bytes = sizeof(uint32_t) + 2 * sizeof(double);
-  if (lead.int_path_enabled()) slot_bytes += 2 * sizeof(int64_t);
-  if (lead.need_moments()) {
-    slot_bytes += (2 * m + m * (m + 1) / 2) * sizeof(double);
-  }
-  const size_t sinks = protected_mask != nullptr ? 3 : 1;
-  const size_t treatment_bytes = sinks * (slots + 2) * slot_bytes;
+  const size_t sinks =
+      protected_mask != nullptr && prot_cells == nullptr ? 3 : 1;
+  const size_t treatment_bytes = sinks * lead.AccumBytes();
   const size_t width =
       std::min(engines.size(),
                std::max<size_t>(1, kBatchAccumBytes / treatment_bytes));
   std::vector<SubgroupAccums> chunk(width);
+  size_t built = 0;
   for (size_t begin = 0; begin < engines.size(); begin += width) {
     const size_t count = std::min(width, engines.size() - begin);
-    AccumulateChunk(engines.data() + begin, count, group, protected_mask, plan,
-                    tasks, chunk.data());
+    built += AccumulateChunk(engines.data() + begin, count, group,
+                             protected_mask, cells, plan, tasks, chunk.data());
     for (size_t k = 0; k < count; ++k) consume(begin + k, std::move(chunk[k]));
   }
+  return built;
 }
 
 Result<CateEstimate> CateStatsEngine::Solve(const Accum& acc,

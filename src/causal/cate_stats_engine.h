@@ -29,6 +29,31 @@
 // with that treatment's arm bit. The overall / protected / non-protected
 // triple comes from the same walk by splitting the accumulation on the
 // protected bit, so the non-protected bitmap is never materialized.
+//
+// Two shortcuts skip per-row work when the caller names the patterns
+// behind the bitmaps. A pattern whose every predicate is an equality on a
+// categorical confounder of the partition is *cell-aligned*: each cell
+// fixes every confounder's code, so it lies wholly inside or wholly
+// outside the pattern, and the pattern selects exactly its member cells'
+// rows (ConfounderPartition::CellsMatching).
+//
+//   * Protected split from cells. With an aligned protected pattern the
+//     walk runs unsplit, and each cell's overall slots are then copied
+//     into the protected or the non-protected accum.
+//   * Groups from cells. With an aligned group pattern no row is walked:
+//     each engine keeps table-level accums (one unsplit pass over every
+//     row, one partial per shard of the plan, built on first use), and the
+//     group's accums are those slots restricted to its cells.
+//
+// Both are exact, not approximations. Every derived slot holds the same
+// rows, added in the same ascending row order, in the same shards, as the
+// walk it replaces; the per-shard partials then merge through the same
+// MergeAccum. So derived accums equal walked ones byte for byte (the
+// kernels' write-only scratch slots aside), int_valid included, at every
+// SIMD tier, shard count and thread count. The one place they could part
+// is the int64 guard, which counts rows walked: a table partial that
+// tripped it says nothing about a smaller group's walk, so such a batch
+// walks instead.
 
 #ifndef FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
 #define FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
@@ -37,11 +62,15 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "causal/estimator.h"
 #include "dataframe/dataframe.h"
+#include "mining/pattern.h"
 #include "util/result.h"
+#include "util/sync.h"
+#include "util/thread_annotations.h"
 
 namespace faircap {
 
@@ -72,7 +101,8 @@ Result<CateEstimate> HajekIpwFromRows(const std::vector<double>& design,
 /// every numeric confounder quantile bin, and every confounder null flag
 /// share a cell. Depends only on (table, outcome, adjustment set, binning
 /// options) — NOT on the treatment — so all treatments over the same
-/// attributes share one partition via shared_ptr.
+/// attributes share one partition via shared_ptr. The one mutable member,
+/// MemoCellsMatching's memo, is mutex-guarded.
 class ConfounderPartition {
  public:
   /// One regression design feature (mirrors the oracle's enumeration:
@@ -157,6 +187,22 @@ class ConfounderPartition {
     return numeric_value_ptrs_.data();
   }
 
+  /// Per-cell membership of `pattern` over `df` (this partition's table):
+  /// entry c is 1 when every row of cell c matches and 0 when none does.
+  /// Defined only for cell-aligned patterns — every predicate an equality
+  /// on a categorical confounder of this partition (the empty pattern
+  /// included) — and null otherwise; Ne, ordered and numeric predicates
+  /// never align. The non-aligned answer costs O(|pattern| x |adjustment|),
+  /// an aligned one O(cells).
+  std::shared_ptr<const std::vector<uint8_t>> CellsMatching(
+      const DataFrame& df, const Pattern& pattern) const;
+
+  /// CellsMatching memoized for one pattern at a time: the protected
+  /// pattern is asked on every walk but resolved once per partition.
+  /// ExtendInPlace extends the memo over the cells it adds.
+  std::shared_ptr<const std::vector<uint8_t>> MemoCellsMatching(
+      const DataFrame& df, const Pattern& pattern) const;
+
   /// Heap bytes held (row arrays + cell table), for cache budgeting.
   size_t bytes() const { return bytes_; }
 
@@ -185,6 +231,9 @@ class ConfounderPartition {
     size_t attr = 0;
     bool categorical = false;
     int64_t base = 0;
+    /// Product of the bases of the confounders after this one: the
+    /// digit of a cell key is (key / stride) % base.
+    int64_t stride = 1;
     uint32_t feature_base = 0;
     /// Category count at build (0 for numeric): extension is only sound
     /// while the column still has exactly this many categories.
@@ -199,6 +248,27 @@ class ConfounderPartition {
   /// column-at-a-time over row blocks. The feature layout (confs_),
   /// numeric caches, and rows [0, row_begin) must already be in place.
   void InternRows(const DataFrame& df, size_t row_begin);
+
+  /// One predicate of a cell-aligned pattern: confounder `conf` must take
+  /// `digit` (-1: a category absent from the dictionary, matching no row).
+  struct CellTerm {
+    size_t conf;
+    int64_t digit;
+  };
+  /// Resolves `pattern` into cell terms; false when it is not aligned.
+  bool ResolveCellTerms(const DataFrame& df, const Pattern& pattern,
+                        std::vector<CellTerm>* terms) const;
+  /// Sets (*member)[c] for cells [begin, member->size()).
+  void MarkCells(const std::vector<CellTerm>& terms, size_t begin,
+                 std::vector<uint8_t>* member) const;
+
+  /// MemoCellsMatching's single entry.
+  struct CellMemo {
+    Pattern pattern;
+    bool aligned = false;
+    std::vector<CellTerm> terms;
+    std::shared_ptr<const std::vector<uint8_t>> cells;
+  };
 
   /// Cell key -> cell index map: open addressing with linear probing over
   /// power-of-two tables, keys >= 0 (-1 marks an empty slot). Lookup and
@@ -222,6 +292,7 @@ class ConfounderPartition {
   std::vector<uint32_t> numeric_features_;
   std::vector<int32_t> cell_of_row_;
   std::vector<Cell> cells_;
+  std::vector<int64_t> cell_keys_;  ///< each cell's joint key
   std::vector<uint32_t> cells_by_stratum_;
   std::vector<double> outcome_;
   bool outcome_integer_ = false;
@@ -242,12 +313,16 @@ class ConfounderPartition {
   int64_t max_abs_y_ = 0;
   size_t rows_covered_ = 0;
   uint64_t lineage_id_ = 0;
+
+  mutable Mutex memo_mu_;
+  mutable std::unique_ptr<CellMemo> memo_ GUARDED_BY(memo_mu_);
 };
 
 /// The per-treatment engine: treated mask + confounder partition +
-/// options. Immutable after construction, so concurrent subgroup queries
-/// need no locking; the estimator caches engines per treatment with the
-/// same shared-ownership/LRU discipline the PredicateIndex uses for
+/// options. Immutable after construction apart from the mutex-guarded
+/// table-accum cache, so concurrent subgroup queries need no other
+/// locking; the estimator caches engines per treatment with the same
+/// shared-ownership/LRU discipline the PredicateIndex uses for
 /// conjunction masks.
 class CateStatsEngine {
  public:
@@ -318,10 +393,18 @@ class CateStatsEngine {
   /// protected split is always filled when `protected_mask` is non-null,
   /// so a cached result can serve later solves regardless of which
   /// subgroups they request.
-  static void AccumulateBatch(
+  ///
+  /// `group_pattern` / `protected_pattern`, when non-null, must select
+  /// exactly `group` / `*protected_mask`; a cell-aligned one takes the
+  /// matching shortcut from the file comment (the group one only while
+  /// the table accums fit the same cache budget as a walk's). Returns the
+  /// number of engines whose table accums this call built, so the owner
+  /// can refresh its byte accounting.
+  static size_t AccumulateBatch(
       const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
-      const Bitmap* protected_mask, const ShardPlan* plan, TaskGroup* tasks,
-      const AccumsConsumer& consume);
+      const Pattern* group_pattern, const Bitmap* protected_mask,
+      const Pattern* protected_pattern, const ShardPlan* plan,
+      TaskGroup* tasks, const AccumsConsumer& consume);
 
   /// Indices of `engines` grouped by shared ConfounderPartition — the
   /// batches AccumulateBatch accepts. Groups come in first-appearance
@@ -362,7 +445,8 @@ class CateStatsEngine {
   const std::vector<size_t>& adjustment() const { return adjustment_; }
   const CateOptions& options() const { return options_; }
 
-  /// Engine-held bytes excluding the shared partition and treated mask.
+  /// Engine-held bytes excluding the shared partition, including the
+  /// pinned treated mask and any table accums.
   size_t bytes() const;
 
  private:
@@ -377,6 +461,26 @@ class CateStatsEngine {
   /// Fresh accums for one treatment (split iff `split`).
   SubgroupAccums MakeSubgroupAccums(bool split) const;
 
+  /// Per-cell memberships a chunk of engines may use instead of walking
+  /// (see the file comment); `prot` is set only with a protected mask.
+  struct CellShortcuts {
+    const std::vector<uint8_t>* group = nullptr;
+    const std::vector<uint8_t>* prot = nullptr;
+  };
+
+  /// Table-level accums: one unsplit pass over every row, kept as one
+  /// partial per shard of the plan they were built for (`ranges`, the
+  /// shards' word ranges), so a group derived from them merges exactly
+  /// like the group's own sharded walk.
+  struct TableAccums {
+    std::vector<std::pair<size_t, size_t>> ranges;
+    std::vector<Accum> shards;
+    /// False when a partial took the int64 guard's FP fallback: a
+    /// group's walk, counting fewer rows, might not have, so groups must
+    /// walk.
+    bool usable = false;
+  };
+
   /// One batched walk over bitmap words [word_begin, word_end) — the
   /// per-shard view — into `outs[k]` (fresh, from MakeSubgroupAccums) for
   /// `engines[k]`, k < count. The unsharded pass is exactly the
@@ -386,12 +490,31 @@ class CateStatsEngine {
                               const Bitmap* protected_mask, size_t word_begin,
                               size_t word_end, SubgroupAccums* outs);
 
-  /// AccumulateBatch for one cache-sized chunk of engines.
-  static void AccumulateChunk(const CateStatsEngine* const* engines,
+  /// AccumulateBatch for one cache-sized chunk of engines; returns the
+  /// number of table accums it built.
+  static size_t AccumulateChunk(const CateStatsEngine* const* engines,
                               size_t count, const Bitmap& group,
                               const Bitmap* protected_mask,
-                              const ShardPlan* plan, TaskGroup* tasks,
-                              SubgroupAccums* outs);
+                              CellShortcuts cells, const ShardPlan* plan,
+                              TaskGroup* tasks, SubgroupAccums* outs);
+
+  /// The chunk's table accums for `plan`, built in one batched pass over
+  /// every row for the engines that lack them; empty when any of them is
+  /// unusable. `*built` counts the engines this call built for.
+  static std::vector<std::shared_ptr<const TableAccums>> TableAccumsFor(
+      const CateStatsEngine* const* engines, size_t count, size_t num_rows,
+      const ShardPlan* plan, TaskGroup* tasks, size_t* built);
+
+  /// Fills `out` (fresh) from cell memberships instead of rows: with
+  /// `table` its overall accum is `table` restricted to the `group`
+  /// cells, and with `prot` each cell's overall slots are copied into
+  /// out->prot or out->nonprot.
+  void FillFromCells(const Accum* table, const std::vector<uint8_t>* group,
+                     const std::vector<uint8_t>* prot,
+                     SubgroupAccums* out) const;
+
+  /// Bytes of one fresh Accum (stat arrays, int staging, moment blocks).
+  size_t AccumBytes() const;
 
   /// Element-wise `into += from` over every statistic (counts, outcome
   /// sums, numeric moments) — the shard-merge step. Integer partials
@@ -442,6 +565,12 @@ class CateStatsEngine {
   std::vector<size_t> adjustment_;
   std::shared_ptr<const Bitmap> treated_;
   std::shared_ptr<const ConfounderPartition> partition_;
+
+  // The table-accum cache: built outside the lock (a racing duplicate is
+  // identical; the first published wins), never mutated once published,
+  // replaced only when a different shard plan asks.
+  mutable Mutex table_mu_;
+  mutable std::shared_ptr<const TableAccums> table_ GUARDED_BY(table_mu_);
 };
 
 }  // namespace faircap

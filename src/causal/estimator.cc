@@ -265,16 +265,17 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
     const Bitmap* protected_mask, size_t min_subgroup_size,
     bool skip_subgroups_unless_positive, const ShardPlan* plan,
     TaskGroup* tasks) const {
-  return std::move(EstimateSubgroupsBatch({intervention}, group,
-                                          protected_mask, min_subgroup_size,
-                                          skip_subgroups_unless_positive, plan,
-                                          tasks)[0]);
+  return std::move(EstimateSubgroupsBatch(
+      {intervention}, group, /*group_pattern=*/nullptr, protected_mask,
+      /*protected_pattern=*/nullptr, min_subgroup_size,
+      skip_subgroups_unless_positive, plan, tasks)[0]);
 }
 
 std::vector<Result<CateSubgroupEstimates>>
 CateEstimator::EstimateSubgroupsBatch(
     const std::vector<Pattern>& interventions, const Bitmap& group,
-    const Bitmap* protected_mask, size_t min_subgroup_size,
+    const Pattern* group_pattern, const Bitmap* protected_mask,
+    const Pattern* protected_pattern, size_t min_subgroup_size,
     bool skip_subgroups_unless_positive, const ShardPlan* plan,
     TaskGroup* tasks) const {
   static obs::Counter& batch_evals =
@@ -300,19 +301,25 @@ CateEstimator::EstimateSubgroupsBatch(
       out.emplace_back(engine.status());
     }
   }
+  size_t tables_built = 0;
   for (const std::vector<size_t>& batch :
        CateStatsEngine::GroupByPartition(engines)) {
     std::vector<const CateStatsEngine*> members;
     members.reserve(batch.size());
     for (size_t i : batch) members.push_back(engines[i]);
-    CateStatsEngine::AccumulateBatch(
-        members, group, protected_mask, plan, tasks,
-        [&](size_t j, CateStatsEngine::SubgroupAccums accums) {
+    tables_built += CateStatsEngine::AccumulateBatch(
+        members, group, group_pattern, protected_mask, protected_pattern,
+        plan, tasks, [&](size_t j, CateStatsEngine::SubgroupAccums accums) {
           out[batch[j]] = members[j]->SolveFromAccums(
               std::move(accums), group, protected_mask,
               options_.min_group_size, min_sub,
               skip_subgroups_unless_positive);
         });
+  }
+  if (tables_built > 0) {
+    // New table accums grew engines already in the cache.
+    MutexLock lock(*mu_);
+    EngineMetrics().bytes.Set(static_cast<double>(EngineBytesLocked()));
   }
   return out;
 }

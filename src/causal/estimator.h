@@ -142,9 +142,16 @@ class CateEstimator {
   /// confounder partition (same adjustment set) are accumulated by one
   /// walk over `group` (CateStatsEngine::AccumulateBatch) instead of one
   /// walk each. A failed engine lookup fails only its own entry.
+  ///
+  /// `group_pattern` / `protected_pattern` are optional: when non-null
+  /// they must select exactly `group` / `*protected_mask`, and a
+  /// cell-aligned one lets the pass skip row work (the protected split
+  /// routed from cells; the group served from per-engine table accums) —
+  /// with byte-identical results. Pass null to walk.
   std::vector<Result<CateSubgroupEstimates>> EstimateSubgroupsBatch(
       const std::vector<Pattern>& interventions, const Bitmap& group,
-      const Bitmap* protected_mask, size_t min_subgroup_size,
+      const Pattern* group_pattern, const Bitmap* protected_mask,
+      const Pattern* protected_pattern, size_t min_subgroup_size,
       bool skip_subgroups_unless_positive, const ShardPlan* plan,
       TaskGroup* tasks) const;
 
@@ -187,7 +194,7 @@ class CateEstimator {
   struct EngineCacheStats {
     size_t engines = 0;     ///< cached engines
     size_t partitions = 0;  ///< alive confounder partitions
-    size_t bytes = 0;       ///< partition + engine bytes held
+    size_t bytes = 0;       ///< partition + engine (+ table accum) bytes
     size_t hits = 0;
     size_t misses = 0;
     size_t evictions = 0;

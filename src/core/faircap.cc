@@ -363,9 +363,9 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
                     options_.min_subgroup_arm,
                     /*skip_subgroups_unless_positive=*/true, eval_plan, tasks)
               : estimator_.EstimateSubgroupsBatch(
-                    interventions, group.coverage,
+                    interventions, group.coverage, &group.pattern,
                     needs_group_utilities ? &protected_mask_ : nullptr,
-                    options_.min_subgroup_arm,
+                    &protected_pattern_, options_.min_subgroup_arm,
                     /*skip_subgroups_unless_positive=*/true, eval_plan,
                     tasks);
       for (size_t i = 0; i < interventions.size(); ++i) {

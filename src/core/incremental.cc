@@ -224,7 +224,8 @@ std::vector<Result<CateSubgroupEstimates>> IncrementalState::EstimateWithCache(
     members.reserve(batch.size());
     for (size_t i : batch) members.push_back(misses[i]);
     CateStatsEngine::AccumulateBatch(
-        members, group, &protected_mask, plan, tasks,
+        members, group, /*group_pattern=*/nullptr, &protected_mask,
+        /*protected_pattern=*/nullptr, plan, tasks,
         [&](size_t j, CateStatsEngine::SubgroupAccums accums) {
           const CateStatsEngine& engine = *members[j];
           auto fresh = std::make_unique<AccumEntry>();

@@ -47,6 +47,12 @@ constexpr const char* kStandardCounters[] = {
     "estimation.accumulate_path_sparse",
     "estimation.accumulate_int_fallbacks",
     "estimation.batched_passes",
+    // Cell shortcuts (causal/cate_stats_engine.h): per treatment, splits
+    // routed from cells and groups served with no walk; rows of the
+    // table passes behind the latter.
+    "estimation.split_from_cells",
+    "estimation.groups_from_cells",
+    "estimation.table_pass_rows",
     "mining.lattice_evaluations",
     "mining.pattern_tasks",
     "simd.cate_accumulate_rows",

@@ -270,8 +270,9 @@ void Avx2MaskNumericCmp(const double* values, size_t n, Cmp op, double rhs,
 // On a full group word all 64 rows participate, so the cell ids load as
 // contiguous 8-lane vectors (no per-row ctz chain) and idx = 2*cell+arm
 // and row validity (cell >= 0) compute eight lanes at a time into stack
-// buffers. Everything else — the batched walk, the staged FP dense-word
-// flush and the branchless integer body — is the shared core
+// buffers, for the integer path's branchless dense body. Everything else —
+// the batched walks (the FP one stages every word, dense or not, once for
+// all treatments) and the integer body — is the shared core
 // (simd_kernels_core.h), so the adds stay in ascending row order.
 
 struct Avx2Lanes {

@@ -7,9 +7,9 @@
 // needed, one vpopcntq + vpaddq per 512-bit block. The compare-scan
 // kernels use the native compare-to-mask instructions (16 int32 lanes or
 // 8 double lanes fold straight into bitmap word fragments, no movemask
-// shuffle). The accumulation kernel prepares (cell, arm) lanes sixteen
-// at a time on dense words; the statistic adds run through the shared
-// scalar core in ascending row order — see simd_kernels_core.h.
+// shuffle). The integer accumulation kernel prepares (cell, arm) lanes
+// sixteen at a time on dense words; the statistic adds run through the
+// shared scalar core in ascending row order — see simd_kernels_core.h.
 
 #include <immintrin.h>
 

@@ -1,13 +1,13 @@
 // Internal: portable kernel bodies shared by the per-ISA translation
 // units. The scalar tier uses these as THE implementation; the AVX2 and
 // AVX-512 tiers use them for word tails and for the whole accumulation
-// walk, supplying only their vector dense-word lane preparation.
+// walk, supplying only the integer path's vector dense-word lane
+// preparation.
 //
 // The accumulation core is the determinism anchor of the whole layer. For
 // real-valued outcomes it performs every floating-point add in ascending
 // row order with the same associations as the original CateStatsEngine
-// scalar loop — vector tiers may prepare lanes (cell indices, arm bits)
-// with SIMD, and every word is staged into small buffers before its adds,
+// scalar loop — every word is staged into a small buffer before its adds,
 // but each slot's add sequence is always the ascending-row scalar
 // sequence, so a vectorized scatter-add (which would race with itself and
 // reassociate) is never used. For integer-valued outcomes the int64 fast
@@ -159,7 +159,7 @@ struct DenseLanes {
 };
 
 /// Dense-word lane preparation for tiers without a vector path: every
-/// populated word takes the staged sparse path.
+/// populated word takes the staged path.
 struct NoDenseLanes {
   static constexpr bool kDense = false;
   static void Prepare(const int32_t*, uint64_t, DenseLanes*) {}
@@ -308,59 +308,15 @@ inline void IntDenseWord(const CateAccumArgs& args,
   }
 }
 
-/// The staged dense-word body of the FP path for one treatment: the
-/// word's included rows are partitioned into per-sink buffers in
-/// ascending row order (every row to `all`, and with the split to exactly
-/// one of prot/nonprot via a branchless dual write), then each sink is
-/// flushed in one tight loop — each slot sees the scalar add sequence.
-template <bool kSplit, bool kMoments>
-inline void StagedDenseWord(const CateAccumArgs& args,
-                            const CateTreatmentSinks& t, size_t base,
-                            const DenseLanes& lanes, uint64_t pword) {
-  struct Entry {
-    int32_t idx;
-    int32_t row_off;
-    double y;
-  };
-  Entry all[64], prot_buf[64], nonprot_buf[64];
-  size_t all_n = 0, prot_n = 0, nonprot_n = 0;
-  const double* y_word = args.outcome + base;
-  for (uint64_t valid = lanes.valid; valid != 0; valid &= valid - 1) {
-    const int b = __builtin_ctzll(valid);
-    const Entry e{lanes.idx[b], b, y_word[b]};
-    all[all_n++] = e;
-    if (kSplit) {
-      const size_t pb = (pword >> static_cast<unsigned>(b)) & 1;
-      prot_buf[prot_n] = e;
-      nonprot_buf[nonprot_n] = e;
-      prot_n += pb;
-      nonprot_n += 1 - pb;
-    }
-  }
-  const auto flush = [&](const CateSink& sink, const Entry* entries,
-                         size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      const size_t idx = static_cast<size_t>(entries[i].idx);
-      const double y = entries[i].y;
-      ++sink.n[idx];
-      sink.sy[idx] += y;
-      sink.syy[idx] += y * y;
-      if (kMoments) {
-        AddMoments(args, sink, idx,
-                   base + static_cast<size_t>(entries[i].row_off), y);
-      }
-    }
-  };
-  flush(t.overall, all, all_n);
-  if (kSplit) {
-    flush(t.prot, prot_buf, prot_n);
-    flush(t.nonprot, nonprot_buf, nonprot_n);
-  }
-}
-
 /// The FP walk over words [word_begin, args.word_end), specialized on the
-/// protected split and the moments block. `Lanes` is the tier's dense-word
-/// lane preparation (NoDenseLanes: none).
+/// protected split and the moments block. Every populated word, all-ones
+/// ones included, is staged once and replayed into each treatment: at one
+/// treatment the replay is no slower than a per-treatment vector lane
+/// preparation, and at K treatments it stages once instead of K times.
+/// All-ones words still count as dense in the word mix. `Lanes` is unused
+/// here but keeps each tier's instantiation a distinct symbol: the tiers
+/// compile this header under different -march flags, and one shared
+/// inline definition would let the linker pick any tier's code for all.
 template <bool kSplit, bool kMoments, typename Lanes>
 inline void WalkFp(const CateAccumArgs& args, size_t word_begin) {
   const uint64_t* gw = args.group_words;
@@ -368,22 +324,13 @@ inline void WalkFp(const CateAccumArgs& args, size_t word_begin) {
   const CateTreatmentSinks* treatments = args.treatments;
   const size_t num_treatments = args.num_treatments;
   StagedRow<double> stage[64];
-  DenseLanes lanes;
   for (size_t w = word_begin; w < args.word_end; ++w) {
     const uint64_t bits = gw[w];
     if (bits == 0) continue;
+    size_t* mix = bits == ~0ULL ? args.dense_words : args.sparse_words;
+    if (mix != nullptr) ++*mix;
     const uint64_t pword = kSplit ? pw[w] : 0;
     const size_t base = w * 64;
-    if (Lanes::kDense && bits == ~0ULL) {
-      if (args.dense_words != nullptr) ++*args.dense_words;
-      for (size_t k = 0; k < num_treatments; ++k) {
-        const CateTreatmentSinks& t = treatments[k];
-        Lanes::Prepare(args.cell_of_row + base, t.treated_words[w], &lanes);
-        StagedDenseWord<kSplit, kMoments>(args, t, base, lanes, pword);
-      }
-      continue;
-    }
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
     const size_t count = StageWord<kSplit>(bits, base, args.cell_of_row,
                                            args.outcome, pword, stage);
     for (size_t k = 0; k < num_treatments; ++k) {

@@ -13,6 +13,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <algorithm>
+#include <tuple>
 
 #include "causal/estimator.h"
 #include "data/german.h"
@@ -351,8 +353,8 @@ Result<CateEstimate> EngineOverall(const CateStatsEngine& engine,
                                    size_t min_group_size) {
   Result<CateEstimate> out = Status::Internal("not accumulated");
   CateStatsEngine::AccumulateBatch(
-      {&engine}, group, /*protected_mask=*/nullptr, /*plan=*/nullptr,
-      /*tasks=*/nullptr,
+      {&engine}, group, /*group_pattern=*/nullptr, /*protected_mask=*/nullptr,
+      /*protected_pattern=*/nullptr, /*plan=*/nullptr, /*tasks=*/nullptr,
       [&](size_t, CateStatsEngine::SubgroupAccums accums) {
         out = engine
                   .SolveFromAccums(std::move(accums), group,
@@ -771,9 +773,9 @@ TEST(CateStatsEngineBatchTest, BatchedAccumsBytewiseEqualSingleTreatment) {
                     };
                 for (const auto& engine : held) {
                   std::vector<CateStatsEngine::SubgroupAccums> one;
-                  CateStatsEngine::AccumulateBatch({engine.get()}, groups[g],
-                                                   prot, &plan, &tasks,
-                                                   collect(&one));
+                  CateStatsEngine::AccumulateBatch(
+                      {engine.get()}, groups[g], nullptr, prot, nullptr,
+                      &plan, &tasks, collect(&one));
                   ASSERT_EQ(one.size(), 1u);
                   ref.push_back(std::move(one[0]));
                 }
@@ -785,9 +787,9 @@ TEST(CateStatsEngineBatchTest, BatchedAccumsBytewiseEqualSingleTreatment) {
                   const uint64_t passes_before =
                       reg.CounterValue("estimation.batched_passes");
                   std::vector<CateStatsEngine::SubgroupAccums> got;
-                  CateStatsEngine::AccumulateBatch(batch, groups[g], prot,
-                                                   &plan, &tasks,
-                                                   collect(&got));
+                  CateStatsEngine::AccumulateBatch(batch, groups[g], nullptr,
+                                                   prot, nullptr, &plan,
+                                                   &tasks, collect(&got));
                   const uint64_t passes =
                       reg.CounterValue("estimation.batched_passes") -
                       passes_before;
@@ -854,10 +856,12 @@ TEST(CateStatsEngineBatchTest, BatchedIntGuardTripsAtTheSameWord) {
           };
         };
         CateStatsEngine::AccumulateBatch({held[0].get(), held[1].get()}, all,
-                                         prot, &plan, nullptr, push_to(&got));
+                                         nullptr, prot, nullptr, &plan,
+                                         nullptr, push_to(&got));
         for (const auto& engine : held) {
-          CateStatsEngine::AccumulateBatch({engine.get()}, all, prot, &plan,
-                                           nullptr, push_to(&ref));
+          CateStatsEngine::AccumulateBatch({engine.get()}, all, nullptr, prot,
+                                           nullptr, &plan, nullptr,
+                                           push_to(&ref));
         }
         ASSERT_EQ(got.size(), 2u);
         ASSERT_EQ(ref.size(), 2u);
@@ -900,7 +904,8 @@ TEST(CateStatsEngineBatchTest, EstimatorBatchMatchesPerTreatmentCalls) {
     const auto est = CateEstimator::Create(&data.df, &data.dag, options);
     ASSERT_TRUE(est.ok());
     const std::vector<Result<CateSubgroupEstimates>> batch =
-        est->EstimateSubgroupsBatch(interventions, group, &protected_mask, 5,
+        est->EstimateSubgroupsBatch(interventions, group, nullptr,
+                                    &protected_mask, nullptr, 5,
                                     /*skip_subgroups_unless_positive=*/false,
                                     nullptr, nullptr);
     ASSERT_EQ(batch.size(), interventions.size());
@@ -913,6 +918,339 @@ TEST(CateStatsEngineBatchTest, EstimatorBatchMatchesPerTreatmentCalls) {
       if (!single.ok()) continue;
       ExpectSameSubgroups(*batch[i], *single, tag);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Cell shortcuts: accums derived from per-cell statistics (the protected
+// split routed from cells; groups restricted from table accums) must
+// equal the walked accums byte for byte.
+
+// Protected and grouping attributes that are confounders of T: Prot and
+// Zc parent T (with nulls in both, so null-digit cells exist), and with
+// `numeric_confounder` so does Zn (moments under regression). Zn and the
+// 8-level T are never cell-aligned.
+EdgeData MakeCellData(size_t n, bool integer_outcome, bool numeric_confounder,
+                      uint64_t seed) {
+  auto schema = Schema::Create({
+      {"Prot", AttrType::kCategorical, AttrRole::kImmutable},
+      {"Zc", AttrType::kCategorical, AttrRole::kImmutable},
+      {"Zn", AttrType::kNumeric, AttrRole::kImmutable},
+      {"T", AttrType::kCategorical, AttrRole::kMutable},
+      {"O", AttrType::kNumeric, AttrRole::kOutcome},
+  });
+  DataFrame df = DataFrame::Create(std::move(schema).ValueOrDie());
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const bool prot = rng.NextBernoulli(0.3);
+    const size_t zc = rng.NextBounded(2);
+    const double zn = rng.NextGaussian(0.0, 2.0);
+    const size_t t = rng.NextBounded(8);
+    double o = 5.0 + 0.5 * static_cast<double>(zc) + 1.5 * zn +
+               0.7 * static_cast<double>(t) + (prot ? -1.0 : 0.0) +
+               rng.NextGaussian(0.0, 1.0);
+    if (integer_outcome) o = std::round(o * 10.0);
+    const Status st = df.AppendRow(
+        {rng.NextBernoulli(0.04) ? Value::Null() : Value(prot ? "yes" : "no"),
+         rng.NextBernoulli(0.05) ? Value::Null()
+                                 : Value("z" + std::to_string(zc)),
+         rng.NextBernoulli(0.05) ? Value::Null() : Value(zn),
+         Value("t" + std::to_string(t)),
+         rng.NextBernoulli(0.02) ? Value::Null() : Value(o)});
+    EXPECT_TRUE(st.ok());
+  }
+  std::vector<std::pair<std::string, std::string>> edges = {
+      {"Prot", "T"}, {"Zc", "T"}, {"Prot", "O"},
+      {"Zc", "O"},   {"Zn", "O"}, {"T", "O"}};
+  if (numeric_confounder) edges.push_back({"Zn", "T"});
+  CausalDag dag =
+      CausalDag::Create({"Prot", "Zc", "Zn", "T", "O"}, edges).ValueOrDie();
+  Pattern protected_pattern({Predicate(0, CompareOp::kEq, Value("yes"))});
+  return {std::move(df), std::move(dag), std::move(protected_pattern)};
+}
+
+// Derived accums are compared byte for byte with walked ones over the real
+// (cell, arm) slots. The two scratch slots past them are write-only kernel
+// scratch (the branchless int64 dense loop steers excluded rows there),
+// never read by a merge or a solve, and a derived accum leaves them zero,
+// so both sides clear them before the comparison.
+void ExpectSameAccumSlots(CateStatsEngine::SubgroupAccums got,
+                          CateStatsEngine::SubgroupAccums ref,
+                          size_t slots, const std::string& label) {
+  const auto clear = [slots](CateStatsEngine::SubgroupAccums* accums) {
+    for (CateStatsEngine::Accum* acc :
+         {&accums->overall, &accums->prot, &accums->nonprot}) {
+      const auto zero = [slots](auto& v) {
+        if (v.size() > slots) std::fill(v.begin() + slots, v.end(), 0);
+      };
+      zero(acc->n);
+      zero(acc->sy);
+      zero(acc->syy);
+      zero(acc->isy);
+      zero(acc->isyy);
+    }
+  };
+  clear(&got);
+  clear(&ref);
+  ExpectSameAccums(got, ref, label);
+}
+
+// One AccumulateBatch call, collected in engine order.
+std::vector<CateStatsEngine::SubgroupAccums> Accumulate(
+    const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
+    const Pattern* group_pattern, const Bitmap* protected_mask,
+    const Pattern* protected_pattern, const ShardPlan* plan,
+    TaskGroup* tasks) {
+  std::vector<CateStatsEngine::SubgroupAccums> out;
+  CateStatsEngine::AccumulateBatch(
+      engines, group, group_pattern, protected_mask, protected_pattern, plan,
+      tasks, [&](size_t index, CateStatsEngine::SubgroupAccums accums) {
+        EXPECT_EQ(index, out.size());
+        out.push_back(std::move(accums));
+      });
+  return out;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().CounterValue(name);
+}
+
+TEST(CateStatsEngineCellTest, CellDerivedAccumsBytewiseEqualWalked) {
+  TaskScheduler scheduler(4);
+  const uint64_t split_start = CounterValue("estimation.split_from_cells");
+  const uint64_t groups_start = CounterValue("estimation.groups_from_cells");
+  for (const bool integer_outcome : {false, true}) {
+    for (const bool numeric_confounder : {false, true}) {
+      const EdgeData data =
+          MakeCellData(3000, integer_outcome, numeric_confounder, 41);
+      const DataFrame& df = data.df;
+      const size_t prot_attr = *df.schema().IndexOf("Prot");
+      const size_t zc = *df.schema().IndexOf("Zc");
+      const size_t zn = *df.schema().IndexOf("Zn");
+      const size_t t = *df.schema().IndexOf("T");
+      std::vector<Pattern> treatments;
+      for (int level = 0; level < 7; ++level) {
+        treatments.push_back(Pattern({Predicate(
+            t, CompareOp::kEq, Value("t" + std::to_string(level)))}));
+      }
+      // Aligned groups (one and two predicates, all rows, a category no
+      // row carries) and groups that must walk: Ne, a numeric attribute,
+      // and a non-confounder.
+      struct GroupCase {
+        Pattern pattern;
+        bool aligned;
+      };
+      const std::vector<GroupCase> group_cases = {
+          {Pattern({Predicate(zc, CompareOp::kEq, Value("z1"))}), true},
+          {Pattern({Predicate(prot_attr, CompareOp::kEq, Value("no")),
+                    Predicate(zc, CompareOp::kEq, Value("z0"))}),
+           true},
+          {Pattern(), true},
+          {Pattern({Predicate(zc, CompareOp::kEq, Value("absent"))}), true},
+          {Pattern({Predicate(zc, CompareOp::kNe, Value("z1"))}), false},
+          {Pattern({Predicate(zn, CompareOp::kLt, Value(0.5))}), false},
+          {Pattern({Predicate(t, CompareOp::kEq, Value("t3"))}), false},
+      };
+      // Protected patterns: one predicate, two predicates, and one that
+      // is not aligned (the walk splits on the mask).
+      const std::vector<Pattern> protected_patterns = {
+          data.protected_pattern,
+          Pattern({Predicate(prot_attr, CompareOp::kEq, Value("yes")),
+                   Predicate(zc, CompareOp::kEq, Value("z0"))}),
+          Pattern({Predicate(zn, CompareOp::kGt, Value(0.0))}),
+      };
+      for (const CateMethod method :
+           {CateMethod::kRegression, CateMethod::kStratified}) {
+        CateOptions options;
+        options.method = method;
+        const auto est = CateEstimator::Create(&df, &data.dag, options);
+        ASSERT_TRUE(est.ok());
+        std::vector<std::shared_ptr<const CateStatsEngine>> held;
+        std::vector<const CateStatsEngine*> engines;
+        for (const Pattern& p : treatments) {
+          held.push_back(*est->EngineFor(p));
+          engines.push_back(held.back().get());
+        }
+        const size_t slots = held[0]->partition().cells().size() * 2;
+        for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+          simd::ScopedSimdLevel pin(level);
+          for (const size_t shards :
+               {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
+            const ShardPlan plan = ShardPlan::Create(df.num_rows(), shards);
+            TaskGroup tasks(&scheduler);
+            for (size_t g = 0; g < group_cases.size(); ++g) {
+              const Bitmap group = group_cases[g].pattern.Evaluate(df);
+              for (size_t p = 0; p < protected_patterns.size(); ++p) {
+                const Bitmap prot = protected_patterns[p].Evaluate(df);
+                const std::string label =
+                    std::string(integer_outcome ? "int" : "fp") +
+                    (numeric_confounder ? "/zn" : "") + "/m" +
+                    std::to_string(static_cast<int>(method)) + "/" +
+                    simd::SimdLevelName(level) + "/s" +
+                    std::to_string(shards) + "/g" + std::to_string(g) +
+                    "/p" + std::to_string(p);
+                const auto ref = Accumulate(engines, group, nullptr, &prot,
+                                            nullptr, &plan, &tasks);
+                const uint64_t from_cells_before =
+                    CounterValue("estimation.groups_from_cells");
+                const auto got =
+                    Accumulate(engines, group, &group_cases[g].pattern, &prot,
+                               &protected_patterns[p], &plan, &tasks);
+                if (!group_cases[g].aligned) {
+                  EXPECT_EQ(CounterValue("estimation.groups_from_cells"),
+                            from_cells_before)
+                      << label;
+                }
+                ASSERT_EQ(got.size(), ref.size()) << label;
+                for (size_t k = 0; k < got.size(); ++k) {
+                  ExpectSameAccumSlots(got[k], ref[k], slots,
+                                       label + "/t" + std::to_string(k));
+                }
+              }
+              // Without a protected split only the group shortcut applies.
+              const auto ref = Accumulate(engines, group, nullptr, nullptr,
+                                          nullptr, &plan, &tasks);
+              const auto got = Accumulate(engines, group,
+                                          &group_cases[g].pattern, nullptr,
+                                          nullptr, &plan, &tasks);
+              for (size_t k = 0; k < got.size(); ++k) {
+                ExpectSameAccumSlots(got[k], ref[k], slots,
+                                     "unsplit/g" + std::to_string(g) + "/t" +
+                                         std::to_string(k));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both shortcuts were exercised, not just skipped.
+  EXPECT_GT(CounterValue("estimation.split_from_cells"), split_start);
+  EXPECT_GT(CounterValue("estimation.groups_from_cells"), groups_start);
+}
+
+TEST(CateStatsEngineCellTest, ShortcutsFireOnAlignedPatterns) {
+  const EdgeData data = MakeCellData(2000, /*integer_outcome=*/false,
+                                     /*numeric_confounder=*/false, 43);
+  const size_t zc = *data.df.schema().IndexOf("Zc");
+  const size_t t = *data.df.schema().IndexOf("T");
+  const auto est = CateEstimator::Create(&data.df, &data.dag, CateOptions());
+  ASSERT_TRUE(est.ok());
+  const auto engine =
+      *est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value("t1"))}));
+  const Pattern group_pattern({Predicate(zc, CompareOp::kEq, Value("z1"))});
+  const Bitmap group = group_pattern.Evaluate(data.df);
+  const Bitmap prot = data.protected_pattern.Evaluate(data.df);
+
+  const size_t bytes_before = engine->bytes();
+  const uint64_t split_before = CounterValue("estimation.split_from_cells");
+  const uint64_t groups_before = CounterValue("estimation.groups_from_cells");
+  const uint64_t table_rows_before =
+      CounterValue("estimation.table_pass_rows");
+  const uint64_t walk_rows_before = CounterValue("simd.cate_walk_rows");
+  // First use builds the table accums with one pass over every row ...
+  (void)Accumulate({engine.get()}, group, &group_pattern, &prot,
+                   &data.protected_pattern, nullptr, nullptr);
+  EXPECT_EQ(CounterValue("estimation.split_from_cells"), split_before + 1);
+  EXPECT_EQ(CounterValue("estimation.groups_from_cells"), groups_before + 1);
+  EXPECT_EQ(CounterValue("estimation.table_pass_rows"),
+            table_rows_before + data.df.num_rows());
+  EXPECT_GT(engine->bytes(), bytes_before);
+  // ... and every later aligned group walks no row at all.
+  const uint64_t walked = CounterValue("simd.cate_walk_rows");
+  (void)Accumulate({engine.get()}, group, &group_pattern, &prot,
+                   &data.protected_pattern, nullptr, nullptr);
+  EXPECT_EQ(CounterValue("simd.cate_walk_rows"), walked);
+  EXPECT_EQ(CounterValue("estimation.table_pass_rows"),
+            table_rows_before + data.df.num_rows());
+  EXPECT_GT(walked, walk_rows_before);
+  // The estimator counts the table accums in its cache bytes.
+  EXPECT_GE(est->GetEngineStats().bytes,
+            engine->bytes() + engine->partition().bytes());
+}
+
+TEST(CateStatsEngineCellTest, CellsAddedByExtendInPlaceStayExact) {
+  // The base rows never pair Prot = yes with Zc = z1; the delta does, so
+  // ExtendInPlace adds cells after the protected membership was memoized
+  // and after the engines built table accums.
+  const EdgeData full = MakeCellData(2400, /*integer_outcome=*/true,
+                                     /*numeric_confounder=*/false, 47);
+  const size_t prot_attr = *full.df.schema().IndexOf("Prot");
+  const size_t zc = *full.df.schema().IndexOf("Zc");
+  const size_t t = *full.df.schema().IndexOf("T");
+  std::vector<uint32_t> base_rows, delta_rows;
+  for (uint32_t r = 0; r < full.df.num_rows(); ++r) {
+    const bool yes_z1 = full.df.column(prot_attr).code(r) ==
+                            *full.df.column(prot_attr).CodeOf("yes") &&
+                        full.df.column(zc).code(r) ==
+                            *full.df.column(zc).CodeOf("z1");
+    (yes_z1 || r >= 2000 ? delta_rows : base_rows).push_back(r);
+  }
+  DataFrame df = full.df.TakeRows(base_rows);
+  const DataFrame delta = full.df.TakeRows(delta_rows);
+  auto est = CateEstimator::Create(&df, &full.dag, CateOptions());
+  ASSERT_TRUE(est.ok());
+  const Pattern treatment({Predicate(t, CompareOp::kEq, Value("t2"))});
+  const Pattern group_pattern({Predicate(zc, CompareOp::kEq, Value("z1"))});
+  const auto warm = [&]() {
+    const auto engine = *est->EngineFor(treatment);
+    const Bitmap group = group_pattern.Evaluate(df);
+    const Bitmap prot = full.protected_pattern.Evaluate(df);
+    const auto got = Accumulate({engine.get()}, group, &group_pattern, &prot,
+                                &full.protected_pattern, nullptr, nullptr);
+    const auto ref = Accumulate({engine.get()}, group, nullptr, &prot,
+                                nullptr, nullptr, nullptr);
+    return std::make_tuple(engine, got, ref);
+  };
+  const auto [before_engine, before_got, before_ref] = warm();
+  const size_t cells_before = before_engine->partition().cells().size();
+  ExpectSameAccumSlots(before_got[0], before_ref[0], cells_before * 2,
+                       "before");
+
+  ASSERT_TRUE(df.AppendFrame(delta).ok());
+  const CateEstimator::AppendRefreshStats stats = est->NotifyAppend();
+  ASSERT_EQ(stats.partitions_extended, 1u);
+  const auto [engine, got, ref] = warm();
+  ASSERT_EQ(&engine->partition(), &before_engine->partition());
+  const size_t cells = engine->partition().cells().size();
+  ASSERT_GT(cells, cells_before);
+  ExpectSameAccumSlots(got[0], ref[0], cells * 2, "extended");
+  // The new Prot = yes, Zc = z1 rows count as protected.
+  EXPECT_GT(got[0].prot.rows, before_got[0].prot.rows);
+}
+
+TEST(CateStatsEngineCellTest, IntGuardTripInTablePassFallsBackToWalk) {
+  // The table pass over all 2000 near-limit rows (1000 per shard when
+  // sharded) trips the int64 guard, but a walk of the ~670-row Z = a
+  // group would not: its int_valid would differ, so the group must walk —
+  // and still match bytewise.
+  const EdgeData data = MakeBigIntData(2000, 103);
+  const size_t z = *data.df.schema().IndexOf("Z");
+  const size_t t = *data.df.schema().IndexOf("T");
+  CateOptions options;
+  options.method = CateMethod::kStratified;
+  const auto est = CateEstimator::Create(&data.df, &data.dag, options);
+  ASSERT_TRUE(est.ok());
+  const auto engine =
+      *est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}));
+  const Pattern group_pattern({Predicate(z, CompareOp::kEq, Value("a"))});
+  const Bitmap group = group_pattern.Evaluate(data.df);
+  const size_t slots = engine->partition().cells().size() * 2;
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    const ShardPlan plan = ShardPlan::Create(data.df.num_rows(), shards);
+    const uint64_t fallbacks_before =
+        CounterValue("estimation.accumulate_int_fallbacks");
+    const uint64_t groups_before = CounterValue("estimation.groups_from_cells");
+    const auto got = Accumulate({engine.get()}, group, &group_pattern,
+                                nullptr, nullptr, &plan, nullptr);
+    EXPECT_GT(CounterValue("estimation.accumulate_int_fallbacks"),
+              fallbacks_before);
+    EXPECT_EQ(CounterValue("estimation.groups_from_cells"), groups_before);
+    const auto ref = Accumulate({engine.get()}, group, nullptr, nullptr,
+                                nullptr, &plan, nullptr);
+    EXPECT_TRUE(ref[0].overall.int_valid);
+    ExpectSameAccumSlots(got[0], ref[0], slots,
+                         "guard/s" + std::to_string(shards));
   }
 }
 

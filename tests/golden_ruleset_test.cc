@@ -17,6 +17,16 @@
 // rulesets, with utilities equal to 1.2e-13 relative. Groupings,
 // interventions and supports are pinned exactly, utilities to 1e-9
 // relative.
+//
+// A third family runs the scale benchmark's synthetic configuration
+// (MakeSynthetic defaults, seed 1) at 200K rows, with real and with
+// integer outcomes, regression, group SP at 60, at 1 thread / 1 shard and
+// at 4 threads / 4 shards. Its protected pattern (Group = protected) and
+// the grouping patterns over Group and I1..I3 are confounders of every
+// treatment, so these runs take the cell shortcuts of the estimation
+// engine (protected split and groups from per-cell statistics). Those
+// constants were captured before the shortcuts existed, when every
+// subgroup was walked row by row.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +38,8 @@
 #include "core/faircap.h"
 #include "data/german.h"
 #include "data/stackoverflow.h"
+#include "ingest/synthetic.h"
+#include "util/obs/metrics.h"
 
 namespace faircap {
 namespace {
@@ -387,6 +399,43 @@ constexpr GoldenRule kStackOverflowStratifiedGroupSp[] = {
      3901, 838, 18486.99254737459, 13957.538727544996, 7725.2028899699426},
 };
 
+// Four shards reassociate the real outcome's sums across shard merges,
+// so its utilities differ from the one-shard run in the last digits.
+constexpr GoldenRule kSyntheticRealSerial[] = {
+    {"Group = protected",
+     "M2 = level_2 AND M3 = level_2",
+     39856, 39856, 48.642759677920331, 48.642759677920331, 0},
+    {"Group = general",
+     "M2 = level_2 AND M3 = level_2",
+     160144, 0, 96.380351397725192, 0, 96.380351397725192},
+    {"I1 = level_2",
+     "M2 = level_2 AND M3 = level_2",
+     77074, 13359, 108.59228225960781, 61.606741376530707, 116.62215869653363},
+};
+constexpr GoldenRule kSyntheticRealSharded[] = {
+    {"Group = protected",
+     "M2 = level_2 AND M3 = level_2",
+     39856, 39856, 48.642759677920203, 48.642759677920203, 0},
+    {"Group = general",
+     "M2 = level_2 AND M3 = level_2",
+     160144, 0, 96.38035139772559, 0, 96.38035139772559},
+    {"I1 = level_2",
+     "M2 = level_2 AND M3 = level_2",
+     77074, 13359, 108.59228225960743, 61.606741376530621, 116.62215869653323},
+};
+// The integer outcome sums exactly, so both runs select the same values.
+constexpr GoldenRule kSyntheticInteger[] = {
+    {"Group = protected",
+     "M2 = level_2 AND M3 = level_2",
+     39856, 39856, 48.642334133444969, 48.642334133444969, 0},
+    {"Group = general",
+     "M2 = level_2 AND M3 = level_2",
+     160144, 0, 96.380118172653994, 0, 96.380118172653994},
+    {"I1 = level_2",
+     "M2 = level_2 AND M3 = level_2",
+     77074, 13359, 108.59330880404103, 61.595867942274424, 116.6252250076662},
+};
+
 const GermanData& German() {
   static const GermanData* data = new GermanData(MakeGerman().ValueOrDie());
   return *data;
@@ -398,11 +447,28 @@ const StackOverflowData& StackOverflow() {
   return *data;
 }
 
+// The scale benchmark's synthetic table at 200K rows.
+const SyntheticData& Synthetic(bool integer_outcome) {
+  const auto make = [](bool integer) {
+    SyntheticConfig config;
+    config.num_rows = 200000;
+    config.seed = 1;
+    config.integer_outcome = integer;
+    return new SyntheticData(MakeSynthetic(config).ValueOrDie());
+  };
+  static const SyntheticData* real = make(false);
+  static const SyntheticData* integer = make(true);
+  return integer_outcome ? *integer : *real;
+}
+
+enum class Dataset { kGerman, kStackOverflow, kSynthetic, kSyntheticInteger };
+
 struct GoldenConfig {
   const char* name;
-  bool stackoverflow;  ///< false: german
+  Dataset dataset;
   CateMethod method;
   bool group_sp;
+  size_t parallelism;  ///< num_threads == num_shards
   const GoldenRule* rules;
   size_t num_rules;
 };
@@ -413,42 +479,51 @@ void PrintTo(const GoldenConfig& config, std::ostream* os) {
 }
 
 template <size_t N>
-GoldenConfig Config(const char* name, bool stackoverflow, CateMethod method,
-                    bool group_sp, const GoldenRule (&rules)[N]) {
-  return {name, stackoverflow, method, group_sp, rules, N};
+GoldenConfig Config(const char* name, Dataset dataset, CateMethod method,
+                    bool group_sp, const GoldenRule (&rules)[N],
+                    size_t parallelism = 1) {
+  return {name, dataset, method, group_sp, parallelism, rules, N};
 }
 
 const GoldenConfig kConfigs[] = {
-    Config("GermanRegressionNoFairness", false, CateMethod::kRegression,
-           false, kGermanRegressionNoFairness),
-    Config("GermanRegressionGroupSp", false, CateMethod::kRegression, true,
-           kGermanRegressionGroupSp),
-    Config("GermanStratifiedNoFairness", false, CateMethod::kStratified,
-           false, kGermanStratifiedNoFairness),
-    Config("GermanStratifiedGroupSp", false, CateMethod::kStratified, true,
-           kGermanStratifiedGroupSp),
-    Config("GermanIpwNoFairness", false, CateMethod::kIpw, false,
+    Config("GermanRegressionNoFairness", Dataset::kGerman,
+           CateMethod::kRegression, false, kGermanRegressionNoFairness),
+    Config("GermanRegressionGroupSp", Dataset::kGerman,
+           CateMethod::kRegression, true, kGermanRegressionGroupSp),
+    Config("GermanStratifiedNoFairness", Dataset::kGerman,
+           CateMethod::kStratified, false, kGermanStratifiedNoFairness),
+    Config("GermanStratifiedGroupSp", Dataset::kGerman,
+           CateMethod::kStratified, true, kGermanStratifiedGroupSp),
+    Config("GermanIpwNoFairness", Dataset::kGerman, CateMethod::kIpw, false,
            kGermanIpwNoFairness),
-    Config("GermanIpwGroupSp", false, CateMethod::kIpw, true,
+    Config("GermanIpwGroupSp", Dataset::kGerman, CateMethod::kIpw, true,
            kGermanIpwGroupSp),
-    Config("StackOverflowRegressionNoFairness", true,
+    Config("StackOverflowRegressionNoFairness", Dataset::kStackOverflow,
            CateMethod::kRegression, false,
            kStackOverflowRegressionNoFairness),
-    Config("StackOverflowRegressionGroupSp", true, CateMethod::kRegression,
-           true, kStackOverflowRegressionGroupSp),
-    Config("StackOverflowStratifiedNoFairness", true,
+    Config("StackOverflowRegressionGroupSp", Dataset::kStackOverflow,
+           CateMethod::kRegression, true, kStackOverflowRegressionGroupSp),
+    Config("StackOverflowStratifiedNoFairness", Dataset::kStackOverflow,
            CateMethod::kStratified, false,
            kStackOverflowStratifiedNoFairness),
-    Config("StackOverflowStratifiedGroupSp", true, CateMethod::kStratified,
-           true, kStackOverflowStratifiedGroupSp),
+    Config("StackOverflowStratifiedGroupSp", Dataset::kStackOverflow,
+           CateMethod::kStratified, true, kStackOverflowStratifiedGroupSp),
+    Config("SyntheticRealGroupSpSerial", Dataset::kSynthetic,
+           CateMethod::kRegression, true, kSyntheticRealSerial),
+    Config("SyntheticRealGroupSpSharded", Dataset::kSynthetic,
+           CateMethod::kRegression, true, kSyntheticRealSharded, 4),
+    Config("SyntheticIntegerGroupSpSerial", Dataset::kSyntheticInteger,
+           CateMethod::kRegression, true, kSyntheticInteger),
+    Config("SyntheticIntegerGroupSpSharded", Dataset::kSyntheticInteger,
+           CateMethod::kRegression, true, kSyntheticInteger, 4),
 };
 
 FairCapOptions OptionsFor(const GoldenConfig& config) {
   FairCapOptions options;
-  options.num_threads = 1;
-  options.num_shards = 1;
+  options.num_threads = config.parallelism;
+  options.num_shards = config.parallelism;
   options.cate.method = config.method;
-  if (config.stackoverflow) {
+  if (config.dataset == Dataset::kStackOverflow) {
     // Table-4 options, as in bench_table4_so.
     options.apriori.min_support_fraction = 0.1;
     options.apriori.max_pattern_length = 2;
@@ -456,8 +531,13 @@ FairCapOptions OptionsFor(const GoldenConfig& config) {
     options.cate.min_group_size = 30;
   }
   if (config.group_sp) {
-    options.fairness =
-        FairnessConstraint::GroupSP(config.stackoverflow ? 10000.0 : 0.1);
+    double threshold = 0.1;  // german: the outcome is a probability
+    if (config.dataset == Dataset::kStackOverflow) threshold = 10000.0;
+    if (config.dataset == Dataset::kSynthetic ||
+        config.dataset == Dataset::kSyntheticInteger) {
+      threshold = 60.0;  // the scale benchmark's setting
+    }
+    options.fairness = FairnessConstraint::GroupSP(threshold);
   }
   return options;
 }
@@ -474,25 +554,45 @@ class GoldenRulesetTest : public ::testing::TestWithParam<GoldenConfig> {};
 
 TEST_P(GoldenRulesetTest, ProductionPipelineSelectsGoldenRuleset) {
   const GoldenConfig& config = GetParam();
-  const DataFrame& df =
-      config.stackoverflow ? StackOverflow().df : German().df;
-  const CausalDag& dag =
-      config.stackoverflow ? StackOverflow().dag : German().dag;
-  const Pattern& protected_pattern = config.stackoverflow
-                                         ? StackOverflow().protected_pattern
-                                         : German().protected_pattern;
+  const DataFrame* df = &German().df;
+  const CausalDag* dag = &German().dag;
+  const Pattern* protected_pattern = &German().protected_pattern;
+  if (config.dataset == Dataset::kStackOverflow) {
+    df = &StackOverflow().df;
+    dag = &StackOverflow().dag;
+    protected_pattern = &StackOverflow().protected_pattern;
+  } else if (config.dataset != Dataset::kGerman) {
+    const SyntheticData& data =
+        Synthetic(config.dataset == Dataset::kSyntheticInteger);
+    df = &data.df;
+    dag = &data.dag;
+    protected_pattern = &data.protected_pattern;
+  }
   const auto solver =
-      FairCap::Create(&df, &dag, protected_pattern, OptionsFor(config));
+      FairCap::Create(df, dag, *protected_pattern, OptionsFor(config));
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t split_before =
+      registry.CounterValue("estimation.split_from_cells");
+  const uint64_t groups_before =
+      registry.CounterValue("estimation.groups_from_cells");
   const auto result = solver->Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  if (config.dataset == Dataset::kSynthetic ||
+      config.dataset == Dataset::kSyntheticInteger) {
+    // The synthetic runs pin the cell shortcuts, so they must take them.
+    EXPECT_GT(registry.CounterValue("estimation.split_from_cells"),
+              split_before);
+    EXPECT_GT(registry.CounterValue("estimation.groups_from_cells"),
+              groups_before);
+  }
   ASSERT_EQ(result->rules.size(), config.num_rules);
   for (size_t i = 0; i < config.num_rules; ++i) {
     const PrescriptionRule& rule = result->rules[i];
     const GoldenRule& want = config.rules[i];
     const std::string label = "rule " + std::to_string(i);
-    EXPECT_EQ(rule.grouping.ToString(df.schema()), want.grouping) << label;
-    EXPECT_EQ(rule.intervention.ToString(df.schema()), want.intervention)
+    EXPECT_EQ(rule.grouping.ToString(df->schema()), want.grouping) << label;
+    EXPECT_EQ(rule.intervention.ToString(df->schema()), want.intervention)
         << label;
     EXPECT_EQ(rule.support, want.support) << label;
     EXPECT_EQ(rule.support_protected, want.support_protected) << label;

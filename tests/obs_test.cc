@@ -207,7 +207,9 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
         "\"solve_stratified\":", "\"solve_ipw_cells\":",
         "\"solve_ipw_rows\":", "\"lattice_evaluations\":",
         "\"pattern_tasks\":", "\"batched_passes\":",
-        "\"cate_walk_rows\":", "\"batch_width\":{"}) {
+        "\"split_from_cells\":", "\"groups_from_cells\":",
+        "\"table_pass_rows\":", "\"cate_walk_rows\":",
+        "\"batch_width\":{"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
   }
 }
@@ -293,6 +295,10 @@ TEST(RunReportTest, PipelineRunPopulatesRegistry) {
   EXPECT_GT(registry.CounterValue("estimation.batch_evals"), 0u);
   EXPECT_GT(registry.CounterValue("index_cache.misses"), 0u);
   EXPECT_GT(registry.CounterValue("engine_cache.misses"), 0u);
+  // Z is the treatment's only confounder, so the Z groups are served from
+  // per-cell statistics after one table pass per engine.
+  EXPECT_GT(registry.CounterValue("estimation.groups_from_cells"), 0u);
+  EXPECT_GT(registry.CounterValue("estimation.table_pass_rows"), 0u);
   EXPECT_GE(registry.GaugeValue("phase.total_seconds"),
             registry.GaugeValue("phase.treatment_mining_seconds"));
   EXPECT_GT(registry.GaugeValue("phase.total_seconds"), 0.0);

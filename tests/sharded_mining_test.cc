@@ -11,13 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "causal/estimator.h"
 #include "core/faircap.h"
 #include "data/german.h"
 #include "mining/shard_plan.h"
+#include "util/obs/metrics.h"
 #include "util/random.h"
 #include "util/task_scheduler.h"
 
@@ -185,6 +188,75 @@ TEST(ShardedMiningTest, EngineShardedMatchesOracleOnGerman) {
   // Continuous outcomes: shard boundaries reassociate the sums, so pin to
   // tight tolerance (counts stay exact inside ExpectSameEstimate).
   RunEngineSweep(data, /*tol=*/1e-9, 32, "german");
+}
+
+// Four pattern tasks race to the first use of one engine's table accums:
+// each asks for a different cell-aligned group (no protected split) over
+// the same treatment, so all of them find the cache empty and build —
+// with the build's shard fan-out nested on the same scheduler. The first
+// published table wins; every answer must equal its own walk bit for bit.
+TEST(ShardedMiningTest, TableAccumsRaceToFirstUse) {
+  const TestData data = MakeIntegerSynthetic(6000, 51);
+  const size_t zc = *data.df.schema().IndexOf("Zc");
+  const size_t t1 = *data.df.schema().IndexOf("T1");
+  const std::vector<Pattern> treatments = {
+      Pattern({Predicate(t1, CompareOp::kEq, Value("yes"))})};
+  const std::vector<Pattern> groups = {
+      Pattern({Predicate(zc, CompareOp::kEq, Value("a"))}),
+      Pattern({Predicate(zc, CompareOp::kEq, Value("b"))}),
+      Pattern({Predicate(zc, CompareOp::kEq, Value("c"))}),
+      Pattern()};
+  std::vector<Bitmap> masks;
+  for (const Pattern& g : groups) masks.push_back(g.Evaluate(data.df));
+  const ShardPlan plan = ShardPlan::Create(data.df.num_rows(), 4);
+  TaskScheduler scheduler(4);
+  for (const CateMethod method :
+       {CateMethod::kRegression, CateMethod::kStratified}) {
+    CateOptions options;
+    options.method = method;
+    const auto walked_est = CateEstimator::Create(&data.df, &data.dag, options);
+    ASSERT_TRUE(walked_est.ok());
+    std::vector<CateSubgroupEstimates> walked;
+    for (const Bitmap& mask : masks) {
+      auto one = walked_est->EstimateSubgroupsBatch(
+          treatments, mask, nullptr, nullptr, nullptr, 5, false, &plan,
+          nullptr);
+      ASSERT_TRUE(one[0].ok());
+      walked.push_back(*one[0]);
+    }
+    for (int round = 0; round < 8; ++round) {
+      // A fresh estimator per round: its engine has no table accums yet.
+      const auto est = CateEstimator::Create(&data.df, &data.dag, options);
+      ASSERT_TRUE(est.ok());
+      std::vector<Result<CateSubgroupEstimates>> got(
+          groups.size(), Status::Internal("not run"));
+      std::atomic<size_t> arrived{0};
+      const uint64_t from_cells_before =
+          obs::MetricsRegistry::Global().CounterValue(
+              "estimation.groups_from_cells");
+      scheduler.ParallelFor(groups.size(), [&](size_t g) {
+        // Line the tasks up (bounded, so fewer free workers cannot hang).
+        arrived.fetch_add(1);
+        for (int spin = 0; spin < 1000000 && arrived.load() < groups.size();
+             ++spin) {
+        }
+        TaskGroup shard_tasks(&scheduler);
+        got[g] = std::move(est->EstimateSubgroupsBatch(
+            treatments, masks[g], &groups[g], nullptr, nullptr, 5, false,
+            &plan, &shard_tasks)[0]);
+      });
+      for (size_t g = 0; g < groups.size(); ++g) {
+        const std::string tag = "m" + std::to_string(static_cast<int>(method)) +
+                                "/round" + std::to_string(round) + "/g" +
+                                std::to_string(g);
+        ASSERT_TRUE(got[g].ok()) << tag;
+        ExpectSameEstimate(got[g]->overall, walked[g].overall, 0.0, tag);
+      }
+      EXPECT_EQ(obs::MetricsRegistry::Global().CounterValue(
+                    "estimation.groups_from_cells"),
+                from_cells_before + groups.size());
+    }
+  }
 }
 
 void ExpectSameRuleset(const FairCapResult& sharded,
