@@ -226,6 +226,7 @@ Result<std::shared_ptr<const ConfounderPartition>> ConfounderPartition::Build(
       info.base = static_cast<int64_t>(info.edges.size() + 2);
     }
     overflow = overflow || __builtin_mul_overflow(radix, info.base, &radix);
+    part->onehot_width_ += info.categorical ? 1 : 0;
     part->confs_.push_back(std::move(info));
   }
   if (overflow) {
@@ -332,10 +333,11 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   outcome_.resize(n);
   cell_of_row_.resize(n, -1);
 
-  // A new cell's one-hot features and oracle stratum id, decoded from its
-  // key. Without nulls the stratum id IS the key (same digits, same
-  // bases); any null digit makes it -1.
-  const auto make_cell = [&](int64_t key) {
+  // Appends a new cell: its one-hot slots and oracle stratum id, decoded
+  // from its key. Without nulls the stratum id IS the key (same digits,
+  // same bases); any null digit makes it -1.
+  const uint32_t no_feature = static_cast<uint32_t>(features_.size());
+  const auto add_cell = [&](int64_t key) {
     std::vector<int64_t> digits(confs_.size());
     int64_t rest = key;
     for (size_t a = confs_.size(); a-- > 0;) {
@@ -345,15 +347,17 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
     Cell cell;
     bool any_null = false;
     for (size_t a = 0; a < confs_.size(); ++a) {
-      if (digits[a] == confs_[a].base - 1) {
-        any_null = true;
-      } else if (confs_[a].categorical && digits[a] >= 1) {
-        cell.onehot.push_back(confs_[a].feature_base +
-                              static_cast<uint32_t>(digits[a] - 1));
-      }
+      const bool null = digits[a] == confs_[a].base - 1;
+      any_null = any_null || null;
+      if (!confs_[a].categorical) continue;
+      cell_onehot_.push_back(null || digits[a] == 0
+                                 ? no_feature
+                                 : confs_[a].feature_base +
+                                       static_cast<uint32_t>(digits[a] - 1));
     }
     cell.stratum_id = any_null ? -1 : key;
-    return cell;
+    cells_.push_back(cell);
+    cell_keys_.push_back(key);
   };
 
   // Keys are built column-at-a-time over row blocks small enough to stay
@@ -399,10 +403,7 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
       outcome_[r] = y[r];
       const int32_t next = static_cast<int32_t>(cells_.size());
       const int32_t cell = cell_ids_.FindOrInsert(keys[i], next);
-      if (cell == next) {
-        cells_.push_back(make_cell(keys[i]));
-        cell_keys_.push_back(keys[i]);
-      }
+      if (cell == next) add_cell(keys[i]);
       cell_of_row_[r] = cell;
     }
   }
@@ -476,9 +477,8 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   for (const auto& vals : numeric_values_) {
     bytes += vals.size() * sizeof(double);
   }
-  for (const Cell& cell : cells_) {
-    bytes += sizeof(Cell) + cell.onehot.size() * sizeof(uint32_t);
-  }
+  bytes += cells_.size() * sizeof(Cell) +
+           cell_onehot_.size() * sizeof(uint32_t);
   // The intern map persists for extension, so it counts too.
   bytes += cell_ids_.bytes();
   bytes_ = bytes;
@@ -993,8 +993,12 @@ size_t CateStatsEngine::AccumulateBatch(
   size_t built = 0;
   for (size_t begin = 0; begin < engines.size(); begin += width) {
     const size_t count = std::min(width, engines.size() - begin);
-    built += AccumulateChunk(engines.data() + begin, count, group,
-                             protected_mask, cells, plan, tasks, chunk.data());
+    {
+      const obs::TraceSpan span("accumulate");
+      built += AccumulateChunk(engines.data() + begin, count, group,
+                               protected_mask, cells, plan, tasks,
+                               chunk.data());
+    }
     for (size_t k = 0; k < count; ++k) consume(begin + k, std::move(chunk[k]));
   }
   return built;
@@ -1040,68 +1044,101 @@ Result<CateEstimate> CateStatsEngine::SolveRegression(
   const size_t p = 2 + partition_->features().size();
 
   // Assemble X'X / X'y / y'y from the cell stats: within a cell the
-  // design row is [1, arm, one-hot(c), z], with only z varying by row —
-  // so every X'X entry is a weighted count, a z-moment, or a z-product
-  // moment of the cell.
-  std::vector<double> xtx(p * p, 0.0);
-  std::vector<double> xty(p, 0.0);
-  double yty = 0.0;
+  // design row is [1, arm, one-hot(c), z], with only z varying by row, so
+  // every X'X entry is a weighted count, a z-moment or a z-product moment
+  // of the cell. The sums equal a per-(cell, arm) double assembly bit for
+  // bit. The count entries (rows/columns 1, T and one-hot) are integers
+  // below 2^53, exact in any order, so they take both arms of a cell in
+  // one add. Every other FP sum (X'y, y'y, moments) gets its adds in
+  // ascending cell -> arm order; begun at +0.0 it is never -0.0, so an
+  // empty arm adds +0.0 without changing it, and only empty cells are
+  // skipped. Absent one-hot slots land in a sink row/column p.
+  const size_t width = partition_->onehot_width();
+  const size_t P = p + 1;
+  struct Scratch {
+    std::vector<uint32_t> live;  // non-empty cells
+    std::vector<double> sums;    // P x P
+    std::vector<double> xty;     // P
+    std::vector<double> xtx;     // p x p
+    OlsFit fit;
+  };
+  thread_local Scratch s;
+  s.live.resize(cells.size());
+  size_t num_live = 0;
   for (size_t c = 0; c < cells.size(); ++c) {
-    const auto& onehot = cells[c].onehot;
-    for (int arm = 0; arm < 2; ++arm) {
-      const size_t idx = c * 2 + static_cast<size_t>(arm);
-      const uint32_t cnt = acc.n[idx];
-      if (cnt == 0) continue;
-      const double nd = static_cast<double>(cnt);
-      const double sy = acc.sy[idx];
-      xtx[0] += nd;
-      if (arm != 0) {
-        xtx[1] += nd;          // (0, T)
-        xtx[p + 1] += nd;      // (T, T)
+    s.live[num_live] = static_cast<uint32_t>(c);
+    num_live += (acc.n[2 * c] | acc.n[2 * c + 1]) != 0;
+  }
+  s.sums.assign(P * P, 0.0);
+  s.xty.assign(P, 0.0);
+  double* const sums = s.sums.data();
+  double* const xty = s.xty.data();
+  double xty_1 = 0.0, xty_t = 0.0, yty = 0.0;
+  for (size_t q = 0; q < num_live; ++q) {
+    const size_t c = s.live[q];
+    const uint32_t n[2] = {acc.n[2 * c], acc.n[2 * c + 1]};
+    const auto arm_sum = [&](const std::vector<double>& v, size_t arm,
+                             size_t stride, size_t k) {
+      return n[arm] != 0 ? v[(2 * c + arm) * stride + k] : 0.0;
+    };
+    const double sy0 = arm_sum(acc.sy, 0, 1, 0);
+    const double sy1 = arm_sum(acc.sy, 1, 1, 0);
+    xty_1 += sy0;
+    xty_1 += sy1;
+    xty_t += sy1;
+    yty += arm_sum(acc.syy, 0, 1, 0);
+    yty += arm_sum(acc.syy, 1, 1, 0);
+    const double nc = static_cast<double>(n[0]) + n[1];
+    const double n1 = n[1];
+    sums[0] += nc;  // (1, 1)
+    sums[1] += n1;  // (1, T)
+    const uint32_t* onehot = partition_->onehot(c);
+    for (size_t i = 0; i < width; ++i) {
+      const size_t a = 2 + onehot[i];
+      sums[a] += nc;      // (1, f)
+      sums[P + a] += n1;  // (T, f)
+      for (size_t j = i + 1; j < width; ++j) {
+        sums[a * P + 2 + onehot[j]] += nc;  // (f, g)
       }
-      xty[0] += sy;
-      if (arm != 0) xty[1] += sy;
-      yty += acc.syy[idx];
-      for (const uint32_t f : onehot) {
-        const size_t col = 2 + f;
-        xtx[col] += nd;                   // (0, f)
-        if (arm != 0) xtx[p + col] += nd; // (T, f)
-        xty[col] += sy;
-      }
-      for (size_t i = 0; i < onehot.size(); ++i) {
-        for (size_t j = i; j < onehot.size(); ++j) {
-          xtx[(2 + onehot[i]) * p + (2 + onehot[j])] += nd;
+      xty[a] += sy0;
+      xty[a] += sy1;
+    }
+    for (size_t j = 0, t = 0; j < m; ++j) {
+      const size_t zj = 2 + nf[j];
+      for (size_t arm = 0; arm < 2; ++arm) {
+        const double sz = arm_sum(acc.zsum, arm, m, j);
+        sums[zj] += sz;                    // (1, z_j)
+        if (arm != 0) sums[P + zj] += sz;  // (T, z_j)
+        for (size_t i = 0; i < width; ++i) {
+          const size_t a = 2 + onehot[i];
+          sums[a <= zj ? a * P + zj : zj * P + a] += sz;  // (f, z_j)
         }
+        xty[zj] += arm_sum(acc.zysum, arm, m, j);
       }
-      if (m > 0) {
-        const size_t zbase = idx * m;
-        for (size_t j = 0; j < m; ++j) {
-          const double sz = acc.zsum[zbase + j];
-          const size_t colj = 2 + nf[j];
-          xtx[colj] += sz;                   // (0, z_j)
-          if (arm != 0) xtx[p + colj] += sz; // (T, z_j)
-          for (const uint32_t f : onehot) {
-            const size_t a = 2 + f;
-            if (a <= colj) {
-              xtx[a * p + colj] += sz;
-            } else {
-              xtx[colj * p + a] += sz;
-            }
-          }
-          xty[colj] += acc.zysum[zbase + j];
-        }
-        const size_t zzbase = idx * mm;
-        for (size_t i = 0, t = 0; i < m; ++i) {
-          for (size_t j = i; j < m; ++j, ++t) {
-            xtx[(2 + nf[i]) * p + (2 + nf[j])] += acc.zzsum[zzbase + t];
-          }
+      for (size_t k = j; k < m; ++k, ++t) {
+        for (size_t arm = 0; arm < 2; ++arm) {
+          sums[zj * P + 2 + nf[k]] += arm_sum(acc.zzsum, arm, mm, t);
         }
       }
     }
   }
-  FAIRCAP_ASSIGN_OR_RETURN(
-      const OlsFit fit,
-      SolveNormalEquations(xtx, xty, yty, acc.rows, p, options_.ridge));
+  xty[0] = xty_1;
+  xty[1] = xty_t;
+  // A 0/1 column's square sums to its count: (T, T) = (1, T) and
+  // (f, f) = (1, f) for every one-hot f.
+  sums[P + 1] = sums[1];
+  for (size_t f = 0; f + 2 < p; ++f) {
+    if (partition_->features()[f].categorical) {
+      sums[(2 + f) * P + 2 + f] = sums[2 + f];
+    }
+  }
+  s.xtx.resize(p * p);
+  for (size_t i = 0; i < p; ++i) {
+    std::copy(sums + i * P + i, sums + i * P + p, s.xtx.data() + i * p + i);
+  }
+  OlsFit& fit = s.fit;
+  FAIRCAP_RETURN_NOT_OK(SolveNormalEquations(s.xtx.data(), xty, yty, acc.rows,
+                                             p, options_.ridge, &fit));
   CateEstimate est;
   est.cate = fit.beta[1];
   est.std_error = fit.std_errors[1];
@@ -1186,6 +1223,7 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
   // come straight from the cell stats.
   const auto& cells = partition_->cells();
   const size_t p = 1 + partition_->features().size();
+  const uint32_t no_feature = static_cast<uint32_t>(p - 1);
   std::vector<double> x;
   std::vector<double> trials, successes;
   std::vector<uint32_t> touched;
@@ -1196,7 +1234,10 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
     const size_t base = x.size();
     x.resize(base + p, 0.0);
     x[base] = 1.0;
-    for (const uint32_t f : cells[c].onehot) x[base + 1 + f] = 1.0;
+    const uint32_t* onehot = partition_->onehot(c);
+    for (size_t i = 0; i < partition_->onehot_width(); ++i) {
+      if (onehot[i] != no_feature) x[base + 1 + onehot[i]] = 1.0;
+    }
     trials.push_back(static_cast<double>(n1 + n0));
     successes.push_back(static_cast<double>(n1));
     touched.push_back(c);
@@ -1253,12 +1294,12 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
 Result<CateEstimate> CateStatsEngine::SolveIpwRows(
     const Slice& slice, size_t min_group_size) const {
   (void)min_group_size;  // overlap already checked on the accumulated counts
-  const auto& cells = partition_->cells();
   const int32_t* cell_of_row = partition_->cell_of_row().data();
   const double* y = partition_->outcome().data();
   const size_t m = partition_->num_numeric();
   const auto& nf = partition_->numeric_features();
   const size_t p = 1 + partition_->features().size();
+  const uint32_t no_feature = static_cast<uint32_t>(p - 1);
 
   std::vector<double> design;
   std::vector<double> labels;
@@ -1283,7 +1324,10 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
       const size_t base = design.size();
       design.resize(base + p, 0.0);
       design[base] = 1.0;
-      for (const uint32_t f : cells[c].onehot) design[base + 1 + f] = 1.0;
+      const uint32_t* onehot = partition_->onehot(c);
+      for (size_t i = 0; i < partition_->onehot_width(); ++i) {
+        if (onehot[i] != no_feature) design[base + 1 + onehot[i]] = 1.0;
+      }
       for (size_t j = 0; j < m; ++j) {
         design[base + 1 + nf[j]] = partition_->numeric_values()[j][r];
       }
@@ -1371,6 +1415,7 @@ CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateDelta(
   if (boundary_bit != 0) {
     sw[word_begin] &= ~((uint64_t{1} << boundary_bit) - 1);
   }
+  const obs::TraceSpan span("accumulate");
   SubgroupAccums out = MakeSubgroupAccums(protected_mask != nullptr);
   const CateStatsEngine* self = this;
   RecordPass(1);
@@ -1424,6 +1469,7 @@ CateSubgroupEstimates CateStatsEngine::SolveFromAccums(
     SubgroupAccums accums, const Bitmap& group, const Bitmap* protected_mask,
     size_t min_group_size, size_t min_subgroup_size,
     bool skip_subgroups_unless_positive) const {
+  const obs::TraceSpan span("solve");
   GrowAccum(&accums.overall);
   GrowAccum(&accums.prot);
   GrowAccum(&accums.nonprot);

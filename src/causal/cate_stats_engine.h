@@ -118,9 +118,6 @@ class ConfounderPartition {
     /// confounder is null in this cell (such rows are excluded from
     /// stratification but kept, zero-featured, by regression and IPW).
     int64_t stratum_id = -1;
-    /// Design feature indices that are 1 for every row of this cell
-    /// (ascending). Numeric features are per-row, not per-cell.
-    std::vector<uint32_t> onehot;
   };
 
   /// Fails with InvalidArgument, naming the adjustment set, when the
@@ -158,6 +155,14 @@ class ConfounderPartition {
   /// every estimator).
   const std::vector<int32_t>& cell_of_row() const { return cell_of_row_; }
   const std::vector<Cell>& cells() const { return cells_; }
+  /// Cell `c`'s one-hot design features (1 for every row of the cell):
+  /// onehot_width() slots, one per categorical confounder in adjustment
+  /// order, holding its level's feature or — reference level, null —
+  /// features().size().
+  const uint32_t* onehot(size_t c) const {
+    return cell_onehot_.data() + c * onehot_width_;
+  }
+  size_t onehot_width() const { return onehot_width_; }
   /// Cells with stratum_id >= 0, ascending by stratum_id — the iteration
   /// order of the oracle's stratified combine (a std::map over ids).
   const std::vector<uint32_t>& cells_by_stratum() const {
@@ -292,6 +297,8 @@ class ConfounderPartition {
   std::vector<uint32_t> numeric_features_;
   std::vector<int32_t> cell_of_row_;
   std::vector<Cell> cells_;
+  size_t onehot_width_ = 0;
+  std::vector<uint32_t> cell_onehot_;  ///< cells x onehot_width_
   std::vector<int64_t> cell_keys_;  ///< each cell's joint key
   std::vector<uint32_t> cells_by_stratum_;
   std::vector<double> outcome_;

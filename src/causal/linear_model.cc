@@ -1,14 +1,19 @@
 #include "causal/linear_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace faircap {
 
 namespace {
 
-// In-place Cholesky factorization A = L L'. Returns false if A is not
-// positive definite. Lower triangle of `a` receives L.
-bool Cholesky(std::vector<double>& a, size_t p) {
+// In-place Cholesky factorization A = L L' (row-major p x p). Reads only
+// the lower triangle and diagonal of A, which receive L. Returns false if
+// A is not positive definite. On success every entry of L is finite: each
+// sub-diagonal l_ik enters the pivot of row i as l_ik^2, and that pivot
+// passed the isfinite check.
+bool Cholesky(double* a, size_t p) {
   for (size_t j = 0; j < p; ++j) {
     double d = a[j * p + j];
     for (size_t k = 0; k < j; ++k) d -= a[j * p + k] * a[j * p + k];
@@ -24,9 +29,9 @@ bool Cholesky(std::vector<double>& a, size_t p) {
   return true;
 }
 
-// Solves L L' x = b given the Cholesky factor in the lower triangle.
-void CholeskySolve(const std::vector<double>& l, size_t p,
-                   std::vector<double>& b) {
+// Solves L L' x = b in place given the Cholesky factor in the lower
+// triangle of `l`.
+void CholeskySolve(const double* l, size_t p, double* b) {
   // Forward: L z = b.
   for (size_t i = 0; i < p; ++i) {
     double s = b[i];
@@ -41,6 +46,41 @@ void CholeskySolve(const std::vector<double>& l, size_t p,
   }
 }
 
+// Writes A^-1 (row-major p x p) into `inv` from A's Cholesky factor in
+// the lower triangle of `l`. Column c is CholeskySolve(l, p, e_c); all p
+// solves run at once with the column loop innermost, so each column sees
+// exactly CholeskySolve's scalar operation sequence (the inner loops only
+// batch independent columns; the TU is built with -ffp-contract=off so no
+// build fuses them differently). One exception, exact too: the forward
+// pass skips the k < c terms of column c, whose partial solution there is
+// +0 — subtracting l_ik * (+0) = ±0 (L is finite) from +0 or from 1
+// leaves it unchanged.
+void InvertFromCholesky(const double* l, size_t p, double* inv) {
+  // Forward: L Z = I; Z is lower triangular.
+  for (size_t i = 0; i < p; ++i) {
+    double* __restrict zi = inv + i * p;
+    for (size_t c = 0; c < p; ++c) zi[c] = c == i ? 1.0 : 0.0;
+    for (size_t k = 0; k < i; ++k) {
+      const double l_ik = l[i * p + k];
+      const double* __restrict zk = inv + k * p;
+      for (size_t c = 0; c <= k; ++c) zi[c] -= l_ik * zk[c];
+    }
+    const double l_ii = l[i * p + i];
+    for (size_t c = 0; c <= i; ++c) zi[c] /= l_ii;
+  }
+  // Backward: L' X = Z.
+  for (size_t i = p; i-- > 0;) {
+    double* __restrict xi = inv + i * p;
+    for (size_t k = i + 1; k < p; ++k) {
+      const double l_ki = l[k * p + i];
+      const double* __restrict xk = inv + k * p;
+      for (size_t c = 0; c < p; ++c) xi[c] -= l_ki * xk[c];
+    }
+    const double l_ii = l[i * p + i];
+    for (size_t c = 0; c < p; ++c) xi[c] /= l_ii;
+  }
+}
+
 }  // namespace
 
 Result<std::vector<double>> SolveSpd(std::vector<double> a, size_t p,
@@ -48,93 +88,56 @@ Result<std::vector<double>> SolveSpd(std::vector<double> a, size_t p,
   if (a.size() != p * p || b.size() != p) {
     return Status::InvalidArgument("SolveSpd: dimension mismatch");
   }
-  if (!Cholesky(a, p)) {
+  if (!Cholesky(a.data(), p)) {
     return Status::FailedPrecondition("matrix is not positive definite");
   }
-  CholeskySolve(a, p, b);
+  CholeskySolve(a.data(), p, b.data());
   return b;
 }
 
-Result<std::vector<double>> InvertSpd(std::vector<double> a, size_t p) {
-  if (a.size() != p * p) {
-    return Status::InvalidArgument("InvertSpd: dimension mismatch");
-  }
-  if (!Cholesky(a, p)) {
-    return Status::FailedPrecondition("matrix is not positive definite");
-  }
-  std::vector<double> inv(p * p, 0.0);
-  std::vector<double> e(p);
-  for (size_t col = 0; col < p; ++col) {
-    std::fill(e.begin(), e.end(), 0.0);
-    e[col] = 1.0;
-    CholeskySolve(a, p, e);
-    for (size_t row = 0; row < p; ++row) inv[row * p + col] = e[row];
-  }
-  return inv;
-}
-
-OlsAccumulator::OlsAccumulator(size_t p)
-    : p_(p), xtx_(p * p, 0.0), xty_(p, 0.0) {}
-
-void OlsAccumulator::AddRow(const double* x, double y) {
-  for (size_t i = 0; i < p_; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;  // design rows are sparse one-hots
-    for (size_t j = i; j < p_; ++j) {
-      xtx_[i * p_ + j] += xi * x[j];
-    }
-    xty_[i] += xi * y;
-  }
-  yty_ += y * y;
-  ++n_;
-}
-
-Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
-                                    const std::vector<double>& xty,
-                                    double yty, size_t n, size_t p,
-                                    double ridge) {
-  if (xtx.size() != p * p || xty.size() != p) {
-    return Status::InvalidArgument("SolveNormalEquations: dimension mismatch");
-  }
+Status SolveNormalEquations(const double* xtx, const double* xty, double yty,
+                            size_t n, size_t p, double ridge, OlsFit* fit) {
   if (n < p) {
     return Status::FailedPrecondition(
         "OLS needs at least as many rows as features (" +
         std::to_string(n) + " < " + std::to_string(p) + ")");
   }
-  // Mirror the upper triangle and add the ridge.
-  std::vector<double> a(p * p);
+  // [ridged A | inverse], grown to the largest p this thread has solved.
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < 2 * p * p) scratch.resize(2 * p * p);
+  double* a = scratch.data();
+  double* inv = a + p * p;
+  // Mirror the upper triangle into the lower one (all Cholesky reads) and
+  // add the ridge.
   for (size_t i = 0; i < p; ++i) {
-    for (size_t j = 0; j < p; ++j) {
-      a[i * p + j] = i <= j ? xtx[i * p + j] : xtx[j * p + i];
-    }
+    for (size_t j = 0; j <= i; ++j) a[i * p + j] = xtx[j * p + i];
     a[i * p + i] += ridge;
   }
-  FAIRCAP_ASSIGN_OR_RETURN(std::vector<double> inv, InvertSpd(a, p));
+  if (!Cholesky(a, p)) {
+    return Status::FailedPrecondition("matrix is not positive definite");
+  }
+  InvertFromCholesky(a, p, inv);
 
-  OlsFit fit;
-  fit.n = n;
-  fit.beta.assign(p, 0.0);
+  fit->n = n;
+  fit->beta.resize(p);
   for (size_t i = 0; i < p; ++i) {
-    for (size_t j = 0; j < p; ++j) {
-      fit.beta[i] += inv[i * p + j] * xty[j];
-    }
+    double b = 0.0;
+    for (size_t j = 0; j < p; ++j) b += inv[i * p + j] * xty[j];
+    fit->beta[i] = b;
   }
   // Residual sum of squares: y'y - 2 beta'X'y + beta'X'X beta, folded as
   // y'y - beta'X'y (valid at the normal-equation solution up to ridge).
   double beta_xty = 0.0;
-  for (size_t i = 0; i < p; ++i) beta_xty += fit.beta[i] * xty[i];
+  for (size_t i = 0; i < p; ++i) beta_xty += fit->beta[i] * xty[i];
   const double rss = std::max(0.0, yty - beta_xty);
   const size_t dof = n > p ? n - p : 1;
-  fit.sigma2 = rss / static_cast<double>(dof);
-  fit.std_errors.resize(p);
+  fit->sigma2 = rss / static_cast<double>(dof);
+  fit->std_errors.resize(p);
   for (size_t i = 0; i < p; ++i) {
-    fit.std_errors[i] = std::sqrt(std::max(0.0, fit.sigma2 * inv[i * p + i]));
+    fit->std_errors[i] =
+        std::sqrt(std::max(0.0, fit->sigma2 * inv[i * p + i]));
   }
-  return fit;
-}
-
-Result<OlsFit> OlsAccumulator::Solve(double ridge) const {
-  return SolveNormalEquations(xtx_, xty_, yty_, n_, p_, ridge);
+  return Status::OK();
 }
 
 }  // namespace faircap

@@ -1,5 +1,5 @@
-// Ordinary least squares via streaming normal equations. The regression
-// CATE estimator fits O ~ alpha + beta*T + gamma'Z and reads the treatment
+// Ordinary least squares via normal equations. The regression CATE
+// estimator fits O ~ alpha + beta*T + gamma'Z and reads the treatment
 // effect off beta, so all we need is a small, dependency-free SPD solver.
 
 #ifndef FAIRCAP_CAUSAL_LINEAR_MODEL_H_
@@ -24,43 +24,20 @@ struct OlsFit {
 Result<std::vector<double>> SolveSpd(std::vector<double> a, size_t p,
                                      std::vector<double> b);
 
-/// Inverts a symmetric positive definite matrix (row-major p x p).
-Result<std::vector<double>> InvertSpd(std::vector<double> a, size_t p);
-
 /// Solves the ridge-stabilized normal equations from sufficient statistics
-/// alone: `xtx` is X'X with at least the upper triangle filled (i <= j;
-/// the lower triangle is ignored), `xty` is X'y, `yty` is y'y, `n` the row
-/// count behind the sums. This is the shared back half of OlsAccumulator
-/// and of the CATE sufficient-statistics engine, which assembles X'X from
-/// per-stratum accumulations instead of design rows.
-Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
-                                    const std::vector<double>& xty,
-                                    double yty, size_t n, size_t p,
-                                    double ridge = 1e-8);
-
-/// Accumulates X'X, X'y, y'y row by row, then solves the (ridge-stabilized)
-/// normal equations. Design rows never need to be materialized together.
-class OlsAccumulator {
- public:
-  explicit OlsAccumulator(size_t p);
-
-  size_t num_features() const { return p_; }
-  size_t num_rows() const { return n_; }
-
-  /// Adds one design row `x` (length p) with response `y`.
-  void AddRow(const double* x, double y);
-
-  /// Solves (X'X + ridge*I) beta = X'y and computes standard errors.
-  /// Fails when fewer rows than features or a singular system.
-  Result<OlsFit> Solve(double ridge = 1e-8) const;
-
- private:
-  size_t p_;
-  size_t n_ = 0;
-  std::vector<double> xtx_;  // p x p, row-major (upper kept in sync)
-  std::vector<double> xty_;  // p
-  double yty_ = 0.0;
-};
+/// alone: `xtx` is X'X (row-major p x p) with at least the upper triangle
+/// filled (i <= j; the lower triangle is ignored), `xty` is X'y, `yty` is
+/// y'y, `n` the row count behind the sums. The CATE sufficient-statistics
+/// engine assembles X'X from per-cell accumulations instead of design rows.
+///
+/// The coefficient covariance comes from the explicit inverse
+/// (X'X + ridge*I)^-1, built from one Cholesky factor by p unit-column
+/// solves; beta = inverse * X'y. The fit is written into `*fit`, reusing
+/// its buffers: once they and the calling thread's scratch have grown to
+/// p, a solve allocates nothing. Fails (FailedPrecondition) when n < p or
+/// the ridged system is not positive definite.
+Status SolveNormalEquations(const double* xtx, const double* xty, double yty,
+                            size_t n, size_t p, double ridge, OlsFit* fit);
 
 }  // namespace faircap
 

@@ -44,7 +44,10 @@ struct FairCapOptions {
   /// scheduler (util/task_scheduler.h): pattern tasks submit their
   /// treatment evaluations' sharded sufficient-statistics passes as
   /// child tasks on the same workers, so both axes saturate the pool no
-  /// matter how the work is skewed.
+  /// matter how the work is skewed. The calling thread is not one of
+  /// them, but it runs pending tasks while it waits on the fan-out, so up
+  /// to num_threads + 1 cores are busy: perfbench's so_paper at 2 threads
+  /// reports scheduler.cores_busy of ~2.3-2.7.
   size_t num_threads = 0;
   /// Row-universe shards for Step-2 treatment mining (1 = unsharded
   /// oracle; 0 = match the resolved thread count). With more than one

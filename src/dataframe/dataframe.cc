@@ -115,27 +115,6 @@ Status DataFrame::AppendRow(const std::vector<Value>& values) {
   return Status::OK();
 }
 
-Status DataFrame::AppendRows(const std::vector<std::vector<Value>>& rows) {
-  for (const auto& row : rows) {
-    FAIRCAP_RETURN_NOT_OK(ValidateRow(row));
-  }
-  // One amortized reservation for the whole batch (doubling from the
-  // current size so repeated bulk appends stay geometric), then one index
-  // invalidation — instead of a per-row mutex acquisition + cache clear.
-  const size_t needed = num_rows_ + rows.size();
-  Reserve(std::max(needed, 2 * num_rows_));
-  for (const auto& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      const Status st = columns_[i].Append(row[i]);
-      assert(st.ok());
-      (void)st;
-    }
-  }
-  num_rows_ = needed;
-  InvalidateIndex();
-  return Status::OK();
-}
-
 Status DataFrame::AppendFrame(const DataFrame& delta) {
   if (delta.schema_.num_attributes() != schema_.num_attributes()) {
     return Status::InvalidArgument(

@@ -63,11 +63,6 @@ class DataFrame {
   /// Appends one row; `values` must match the schema arity and types.
   Status AppendRow(const std::vector<Value>& values);
 
-  /// Appends many rows at once: validates every row first (a failure
-  /// leaves the table unchanged), reserves all column storage in one
-  /// amortized step, and invalidates the index once instead of per row.
-  Status AppendRows(const std::vector<std::vector<Value>>& rows);
-
   /// Appends all rows of `delta` (same schema required: attribute names,
   /// types, and roles must match). Dictionary-encoded columns extend in
   /// place via first-appearance merge, so resident codes never change and

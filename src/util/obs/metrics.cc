@@ -1,6 +1,5 @@
 #include "util/obs/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -204,26 +203,6 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
     out << "}";
   }
   out << "}";
-}
-
-std::vector<std::string> MetricsRegistry::CounterNames() const {
-  Impl& i = impl();
-  MutexLock lock(i.mu);
-  std::vector<std::string> names;
-  names.reserve(i.counter_by_name.size());
-  for (const auto& [name, counter] : i.counter_by_name) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::GaugeNames() const {
-  Impl& i = impl();
-  MutexLock lock(i.mu);
-  std::vector<std::string> names;
-  names.reserve(i.gauge_by_name.size());
-  for (const auto& [name, gauge] : i.gauge_by_name) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 }  // namespace obs

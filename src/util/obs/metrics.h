@@ -109,10 +109,6 @@ class MetricsRegistry {
   /// for a given set of registered names.
   void WriteJson(std::ostream& out) const;
 
-  /// Registered names of each kind, sorted (schema tests).
-  std::vector<std::string> CounterNames() const;
-  std::vector<std::string> GaugeNames() const;
-
  private:
   MetricsRegistry() = default;
   struct Impl;

@@ -1,6 +1,7 @@
 #include "util/obs/trace.h"
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -136,6 +137,15 @@ void WriteChromeTrace(std::ostream& out) {
     first = false;
   };
   const char* const pid = "1";
+  // Exact decimal microseconds: a double through the stream's default 6
+  // significant digits would round spans past the first second.
+  const auto micros = [](uint64_t ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%llu.%03llu",
+                  static_cast<unsigned long long>(ns / 1000),
+                  static_cast<unsigned long long>(ns % 1000));
+    return std::string(buf);
+  };
   for (const auto& thread : reg.threads) {
     if (thread->events.empty()) continue;
     if (!thread->name.empty()) {
@@ -154,8 +164,8 @@ void WriteChromeTrace(std::ostream& out) {
       // Chrome trace timestamps are microseconds; keep ns precision via
       // the fractional part.
       out << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << thread->tid
-          << ",\"ts\":" << static_cast<double>(event.start_ns) / 1e3
-          << ",\"dur\":" << static_cast<double>(event.dur_ns) / 1e3
+          << ",\"ts\":" << micros(event.start_ns)
+          << ",\"dur\":" << micros(event.dur_ns)
           << ",\"name\":\"" << event.name << "\"";
       if (event.arg >= 0) out << ",\"args\":{\"v\":" << event.arg << "}";
       out << "}";

@@ -20,9 +20,6 @@ class StopWatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds since construction or last Restart().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

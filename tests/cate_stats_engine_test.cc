@@ -18,9 +18,11 @@
 
 #include "causal/estimator.h"
 #include "data/german.h"
+#include "data/stackoverflow.h"
 #include "ingest/synthetic.h"
 #include "mining/shard_plan.h"
 #include "oracle/legacy_estimator.h"
+#include "oracle/legacy_linear_model.h"
 #include "util/obs/metrics.h"
 #include "util/random.h"
 #include "util/simd/simd.h"
@@ -401,6 +403,12 @@ TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
 // in the scalar association order, so there is no tolerance here, for
 // any method, including the batch protected/non-protected split.
 
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
 void ExpectSameBits(const Result<CateEstimate>& got,
                     const Result<CateEstimate>& ref,
                     const std::string& label) {
@@ -409,8 +417,11 @@ void ExpectSameBits(const Result<CateEstimate>& got,
     EXPECT_EQ(got.status().code(), ref.status().code()) << label;
     return;
   }
+  // == fails on NaN; the bit compare also fails on -0.0 vs +0.0.
   EXPECT_EQ(got->cate, ref->cate) << label;
   EXPECT_EQ(got->std_error, ref->std_error) << label;
+  EXPECT_EQ(Bits(got->cate), Bits(ref->cate)) << label;
+  EXPECT_EQ(Bits(got->std_error), Bits(ref->std_error)) << label;
   EXPECT_EQ(got->n_treated, ref->n_treated) << label;
   EXPECT_EQ(got->n_control, ref->n_control) << label;
 }
@@ -1308,6 +1319,123 @@ TEST(CateStatsEngineRadixTest, WideAdjustmentSetIsRejectedByName) {
     const auto batch = est->EstimateSubgroups(intervention, all, nullptr);
     ASSERT_FALSE(batch.ok());
     EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// ---------------------------------------------------------------------
+// The regression solve against its test oracle: the per-cell-arm double
+// assembly of X'X / X'y / y'y and the column-at-a-time inverse. The
+// engine adds both arms of a cell to the count block at once and batches
+// the inverse's column solves; both are exact rewrites, so every estimate
+// must agree in bits.
+
+// Solves every sampled treatment's overall / protected / non-protected
+// accums over the whole table, a dense and a sparse group, and returns
+// how many estimates succeeded (so callers can check the sweep is not
+// vacuous).
+size_t ExpectRegressionSolvesMatchOracle(const DataFrame& df,
+                                         const CausalDag& dag,
+                                         const Pattern& protected_pattern,
+                                         uint64_t seed,
+                                         const std::string& label) {
+  const Bitmap protected_mask = protected_pattern.Evaluate(df);
+  Rng rng(seed);
+  const std::vector<Pattern> interventions = SampleInterventions(df, 6, &rng);
+  CateOptions options;
+  options.method = CateMethod::kRegression;
+  const auto est = CateEstimator::Create(&df, &dag, options);
+  EXPECT_TRUE(est.ok());
+  if (!est.ok()) return 0;
+  const size_t min_group = options.min_group_size;
+  const size_t min_sub = 5;
+  size_t solved = 0;
+  for (size_t i = 0; i < interventions.size(); ++i) {
+    const auto engine = est->EngineFor(interventions[i]);
+    if (!engine.ok()) continue;
+    const Bitmap groups[] = {df.AllRows(),
+                             RandomGroup(df.num_rows(), 0.6, &rng),
+                             RandomGroup(df.num_rows(), 0.02, &rng)};
+    for (size_t g = 0; g < 3; ++g) {
+      CateStatsEngine::AccumulateBatch(
+          {engine->get()}, groups[g], nullptr, &protected_mask, nullptr,
+          nullptr, nullptr,
+          [&](size_t, CateStatsEngine::SubgroupAccums accums) {
+            const std::string tag =
+                label + "/i" + std::to_string(i) + "/g" + std::to_string(g);
+            const CateSubgroupEstimates got = (*engine)->SolveFromAccums(
+                accums, groups[g], &protected_mask, min_group, min_sub);
+            ExpectSameBits(
+                got.overall,
+                oracle::LegacySolveRegression(df, **engine, accums.overall,
+                                              min_group),
+                tag + "/overall");
+            ExpectSameBits(
+                got.protected_group,
+                oracle::LegacySolveRegression(df, **engine, accums.prot,
+                                              min_sub),
+                tag + "/protected");
+            ExpectSameBits(
+                got.nonprotected,
+                oracle::LegacySolveRegression(df, **engine, accums.nonprot,
+                                              min_sub),
+                tag + "/nonprotected");
+            solved += got.overall.ok() + got.protected_group.ok() +
+                      got.nonprotected.ok();
+          });
+    }
+  }
+  return solved;
+}
+
+TEST(CateStatsEngineSolveTest, RegressionBitIdenticalToOracleOnGerman) {
+  GermanConfig config;
+  config.num_rows = 1500;
+  config.seed = 21;
+  const auto data = MakeGerman(config);
+  ASSERT_TRUE(data.ok());
+  EXPECT_GT(ExpectRegressionSolvesMatchOracle(
+                data->df, data->dag, data->protected_pattern, 21, "german"),
+            0u);
+}
+
+TEST(CateStatsEngineSolveTest, RegressionBitIdenticalToOracleOnStackOverflow) {
+  StackOverflowConfig config;
+  config.num_rows = 8000;
+  config.seed = 22;
+  const auto data = MakeStackOverflow(config);
+  ASSERT_TRUE(data.ok());
+  EXPECT_GT(ExpectRegressionSolvesMatchOracle(
+                data->df, data->dag, data->protected_pattern, 22, "so"),
+            0u);
+}
+
+TEST(CateStatsEngineSolveTest, RegressionBitIdenticalToOracleOnSynthetic) {
+  // The generator's SCM (categorical confounders, integer outcome too)
+  // and the hand-built tables with a numeric confounder and nulls, whose
+  // regression assembly runs the z-moment blocks.
+  for (const bool integer_outcome : {false, true}) {
+    SyntheticConfig config;
+    config.num_rows = 4000;
+    config.seed = 23;
+    config.integer_outcome = integer_outcome;
+    const auto data = MakeSynthetic(config);
+    ASSERT_TRUE(data.ok());
+    EXPECT_GT(ExpectRegressionSolvesMatchOracle(data->df, data->dag,
+                                                data->protected_pattern, 23,
+                                                "synthetic"),
+              0u);
+  }
+  const EdgeData edge = MakeEdgeData(3000, 24);
+  EXPECT_GT(ExpectRegressionSolvesMatchOracle(edge.df, edge.dag,
+                                              edge.protected_pattern, 24,
+                                              "edge"),
+            0u);
+  for (const bool integer_outcome : {false, true}) {
+    const EdgeData batch = MakeBatchData(3000, 20, integer_outcome, 25);
+    EXPECT_GT(ExpectRegressionSolvesMatchOracle(batch.df, batch.dag,
+                                                batch.protected_pattern, 25,
+                                                "batch"),
+              0u);
   }
 }
 

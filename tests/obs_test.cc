@@ -57,6 +57,19 @@ TEST(TraceTest, EnableRecordsNestedSpans) {
   obs::ClearTrace();
 }
 
+TEST(TraceTest, TimestampsKeepNanosecondsPastTheFirstSecond) {
+  // An hour into a session a span still nests by its exact ns bounds.
+  obs::EnableTracing();
+  obs::internal::RecordTraceEvent("late", 3600123456789u, 5007u, -1);
+  obs::DisableTracing();
+  std::ostringstream out;
+  obs::WriteChromeTrace(out);
+  EXPECT_NE(out.str().find("\"ts\":3600123456.789,\"dur\":5.007,"),
+            std::string::npos)
+      << out.str();
+  obs::ClearTrace();
+}
+
 TEST(TraceTest, EnablementLatchedAtConstruction) {
   // A span that starts before EnableTracing records nothing even if
   // tracing turns on mid-span; a span that starts while enabled records

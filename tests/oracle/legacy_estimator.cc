@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "causal/cate_stats_engine.h"
-#include "causal/linear_model.h"
+#include "oracle/legacy_linear_model.h"
 
 namespace faircap {
 namespace oracle {

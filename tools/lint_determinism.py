@@ -12,7 +12,11 @@ whichever pinning combination happens to exercise it:
                    src/util/CMakeLists.txt) must pin -ffp-contract=off.
                    -mavx512f implies -mfma; default contraction would
                    fuse mul+add chains into FMAs and break scalar/vector
-                   bit-identity (the PR 8 regression).
+                   bit-identity (the PR 8 regression). So must the
+                   scalar TUs in PINNED_SCALAR_TUS, whose loops are
+                   written to vectorize yet must round like their scalar
+                   references under any -march (the normal-equation
+                   solver's column-batched inverse).
 
   fp-accumulate    No floating-point accumulation inside vector kernel
                    TUs (src/util/simd/simd_<isa>.cc): FP adds must stay
@@ -155,12 +159,19 @@ SRC_PROPS_RE = re.compile(
 )
 
 
+# Scalar TUs that must pin -ffp-contract=off too (when present in the
+# linted tree): their vectorizable loops reproduce a scalar reference bit
+# for bit, which an FMA-enabled build could otherwise break.
+PINNED_SCALAR_TUS = ["src/causal/linear_model.cc"]
+
+
 def check_fp_contract(root):
     findings = []
-    vector_tus = sorted(root.glob("src/**/simd/simd_*.cc"))
-    vector_tus = [p for p in vector_tus if p.name != "simd.cc"]
+    tus = sorted(root.glob("src/**/simd/simd_*.cc"))
+    tus = [p for p in tus if p.name != "simd.cc"]
+    tus += [root / rel for rel in PINNED_SCALAR_TUS if (root / rel).is_file()]
     # Dispatch TU (simd.cc) has no -march flags and no kernels; only the
-    # per-ISA TUs are in scope.
+    # per-ISA TUs (and PINNED_SCALAR_TUS) are in scope.
     pinned = {}
     for cml in sorted(root.glob("src/**/CMakeLists.txt")):
         text = cml.read_text(encoding="utf-8")
@@ -177,7 +188,7 @@ def check_fp_contract(root):
                 line,
                 options,
             )
-    for tu in vector_tus:
+    for tu in tus:
         entry = pinned.get(tu.resolve())
         if entry is None:
             findings.append(
@@ -185,9 +196,9 @@ def check_fp_contract(root):
                     "fp-contract",
                     tu,
                     1,
-                    "SIMD vector TU has no per-file COMPILE_OPTIONS in its "
+                    "TU has no per-file COMPILE_OPTIONS in its "
                     "CMakeLists.txt; it must pin -ffp-contract=off "
-                    "alongside its -m<isa> flags",
+                    "(alongside its -m<isa> flags, for a SIMD TU)",
                 )
             )
             continue
@@ -199,8 +210,8 @@ def check_fp_contract(root):
                     cml,
                     line,
                     f"COMPILE_OPTIONS for {tu.name} ({options!r}) is missing "
-                    "-ffp-contract=off; FMA contraction breaks cross-tier "
-                    "bit-identity",
+                    "-ffp-contract=off; FMA contraction breaks "
+                    "bit-identity with the scalar reference",
                 )
             )
     return findings
@@ -422,6 +433,7 @@ def self_test():
     failures = []
     expect = {
         "bad_fp_contract": "fp-contract",
+        "bad_fp_contract_solver": "fp-contract",
         "bad_fp_accumulate": "fp-accumulate",
         "bad_unordered_iter": "unordered-iter",
         "bad_nondeterminism": "nondeterminism",
