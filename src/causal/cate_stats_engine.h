@@ -562,13 +562,17 @@ class CateStatsEngine {
   /// The exact int64 accumulation path applies when the outcome column is
   /// integer-valued and no FP moment blocks ride along in the same pass.
   bool int_path_enabled() const {
-    return partition_->outcome_is_integer() && !need_moments() &&
-           !options_.disable_int_fast_path;
+    return int_path_allowed_ && partition_->outcome_is_integer() &&
+           !need_moments();
   }
   Accum MakeAccum() const;
 
+  // Only CateEstimator::MakeEngine clears int_path_allowed_.
+  friend class CateEstimator;
+
   const DataFrame* df_;
   CateOptions options_;
+  bool int_path_allowed_ = true;
   std::vector<size_t> adjustment_;
   std::shared_ptr<const Bitmap> treated_;
   std::shared_ptr<const ConfounderPartition> partition_;

@@ -89,6 +89,16 @@ CateEstimator::CateEstimator(const DataFrame* df, const CausalDag* dag,
       outcome_node_(outcome_node),
       mu_(new Mutex) {}
 
+std::shared_ptr<const CateStatsEngine> CateEstimator::MakeEngine(
+    std::vector<size_t> adjustment, std::shared_ptr<const Bitmap> treated,
+    std::shared_ptr<const ConfounderPartition> partition) const {
+  auto engine = std::make_shared<CateStatsEngine>(
+      df_, options_, std::move(adjustment), std::move(treated),
+      std::move(partition));
+  engine->int_path_allowed_ = int_path_allowed_;
+  return engine;
+}
+
 Result<std::vector<size_t>> CateEstimator::AdjustmentAttrs(
     const Pattern& intervention) const {
   const std::vector<size_t> treatment_attrs = intervention.Attributes();
@@ -230,9 +240,8 @@ Result<std::shared_ptr<const CateStatsEngine>> CateEstimator::EngineFor(
                            AdjustmentAttrs(intervention));
   FAIRCAP_ASSIGN_OR_RETURN(std::shared_ptr<const ConfounderPartition> partition,
                            PartitionFor(adjustment));
-  std::shared_ptr<const Bitmap> treated = TreatedMask(intervention);
-  auto engine = std::make_shared<const CateStatsEngine>(
-      df_, options_, adjustment, std::move(treated), std::move(partition));
+  std::shared_ptr<const CateStatsEngine> engine =
+      MakeEngine(adjustment, TreatedMask(intervention), std::move(partition));
 
   MutexLock lock(*mu_);
   const auto it = engines_.find(key);
@@ -396,11 +405,9 @@ CateEstimator::AppendRefreshStats CateEstimator::NotifyAppend() {
       dropped.push_back(key);
       continue;
     }
-    std::shared_ptr<const Bitmap> treated = TreatedMask(entry.pattern);
-    rebuilt.emplace_back(
-        key, std::make_shared<const CateStatsEngine>(
-                 df_, options_, entry.engine->adjustment(), std::move(treated),
-                 it->second));
+    rebuilt.emplace_back(key, MakeEngine(entry.engine->adjustment(),
+                                         TreatedMask(entry.pattern),
+                                         it->second));
   }
 
   MutexLock lock(*mu_);

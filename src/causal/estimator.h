@@ -59,11 +59,6 @@ struct CateOptions {
   size_t numeric_confounder_bins = 4;
   /// Propensity clipping bounds (IPW method).
   double propensity_clip = 0.02;
-  /// Disables the exact int64 accumulation fast path the batch engine
-  /// selects for integer-valued outcome columns. The two paths are
-  /// bit-identical (pinned by cate_stats_engine_test); this knob exists
-  /// so those tests can produce the FP-path reference on integer data.
-  bool disable_int_fast_path = false;
 };
 
 /// One CATE estimate.
@@ -218,8 +213,17 @@ class CateEstimator {
   const CateOptions& options() const { return options_; }
 
  private:
+  /// Builds FP-reference estimators for the int-vs-FP bit-identity tests.
+  friend class CateEstimatorTestPeer;
+
   CateEstimator(const DataFrame* df, const CausalDag* dag,
                 CateOptions options, size_t outcome_attr, size_t outcome_node);
+
+  /// A new engine for `adjustment` over `treated` and `partition`, with
+  /// this estimator's options and integer-path setting.
+  std::shared_ptr<const CateStatsEngine> MakeEngine(
+      std::vector<size_t> adjustment, std::shared_ptr<const Bitmap> treated,
+      std::shared_ptr<const ConfounderPartition> partition) const;
 
   /// Confounder partition for `adjustment`, built once and shared across
   /// every treatment with the same attributes (weak-cached: alive as long
@@ -236,6 +240,10 @@ class CateEstimator {
   CateOptions options_;
   size_t outcome_attr_;
   size_t outcome_node_;
+  /// Engines may take the exact int64 path. Cleared only by the test
+  /// peer: the paths are bit-identical, and the tests prove it by
+  /// comparing against engines that never use the int64 path.
+  bool int_path_allowed_ = true;
 
   // Behind unique_ptr so the estimator stays movable (mutex is not); the
   // guards dereference it (GUARDED_BY(*mu_)), which the analysis resolves.

@@ -48,6 +48,16 @@ bool QuoteOpen(std::string_view record) {
   return (quotes % 2) != 0;
 }
 
+// The final record of an input that does not end in a newline. Its
+// line-ending CR is stripped unless a quote is still open: then the CR is
+// quoted field data of a malformed record, which the splitter rejects.
+std::string_view TailRecord(std::string_view record) {
+  if (!record.empty() && record.back() == '\r' && !QuoteOpen(record)) {
+    record.remove_suffix(1);
+  }
+  return record;
+}
+
 constexpr uint64_t kSwarOnes = 0x0101010101010101ULL;
 constexpr uint64_t kSwarHighs = 0x8080808080808080ULL;
 
@@ -93,12 +103,11 @@ constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
 // is a single IEEE operation, hence correctly rounded and bit-identical
 // to strtod. Everything else (long mantissas, E notation, hex floats,
 // inf/nan, leading '+') falls through to std::from_chars and then the
-// shared ParseDouble, so the accepted language matches the legacy
-// loader's.
+// shared ParseDouble, so the accepted language is strtod's.
 bool FastParseDouble(std::string_view s, double* out) {
   if (s.empty()) return false;
   // The shared ParseDouble rejects cells that overflow its strtod buffer;
-  // delegate so both loaders reject the same (absurdly long) inputs.
+  // delegate so the same (absurdly long) inputs are rejected.
   if (s.size() >= 64) return ParseDouble(s, out);
   const char* p = s.data();
   const char* end = p + s.size();
@@ -283,14 +292,15 @@ struct ColumnBuilder {
 
 // Builds the per-category equality masks from the (cache-hot) code
 // vectors and installs them into the table's PredicateIndex. Shared by
-// the sequential and parallel assembly paths.
-void WarmStartIndex(const DataFrame& df, const IngestOptions& options,
-                    IngestStats* stats) {
+// the sequential and parallel assembly paths. Columns past the index's
+// batch-build cap stay on-demand.
+void WarmStartIndex(const DataFrame& df, IngestStats* stats) {
   for (size_t attr = 0; attr < df.num_columns(); ++attr) {
     const Column& col = df.column(attr);
     if (col.type() != AttrType::kCategorical) continue;
     const size_t num_categories = col.num_categories();
-    if (num_categories == 0 || num_categories > options.warm_max_categories) {
+    if (num_categories == 0 ||
+        num_categories > PredicateIndex::kBatchBuildMaxCategories) {
       continue;
     }
     df.predicate_index().WarmStartCategoryMasks(
@@ -298,6 +308,68 @@ void WarmStartIndex(const DataFrame& df, const IngestOptions& options,
     if (stats != nullptr) stats->warm_atom_masks += num_categories;
   }
 }
+
+// RFC-4180 field splitter for one complete record. Fields without
+// quoting are zero-copy views into the record; only fields containing
+// quotes are unescaped, into per-field scratch slots (a deque, so views
+// into earlier slots stay valid while later fields are parsed).
+class FieldSplitter {
+ public:
+  /// Splits `record`; false on an unterminated quote. The fields stay
+  /// valid until the next call or until `record`'s bytes change.
+  bool Split(std::string_view record, char delimiter) {
+    fields_.clear();
+    size_t scratch_used = 0;
+    size_t field_start = 0;
+    bool in_quotes = false;
+    std::string* current = nullptr;  // non-null once the field hit a quote
+    auto emit = [&](size_t end) {
+      if (current != nullptr) {
+        fields_.push_back(*current);
+        ++scratch_used;
+        current = nullptr;
+      } else {
+        fields_.push_back(record.substr(field_start, end - field_start));
+      }
+    };
+    for (size_t i = 0; i < record.size(); ++i) {
+      const char c = record[i];
+      if (in_quotes) {
+        if (c == '"') {
+          if (i + 1 < record.size() && record[i + 1] == '"') {
+            current->push_back('"');
+            ++i;
+          } else {
+            in_quotes = false;
+          }
+        } else {
+          current->push_back(c);
+        }
+      } else if (c == '"') {
+        if (current == nullptr) {
+          if (scratch_.size() <= scratch_used) scratch_.emplace_back();
+          current = &scratch_[scratch_used];
+          current->assign(record.data() + field_start, i - field_start);
+        }
+        in_quotes = true;
+      } else if (c == delimiter) {
+        emit(i);
+        field_start = i + 1;
+      } else if (current != nullptr) {
+        current->push_back(c);
+      }
+    }
+    if (in_quotes) return false;
+    emit(record.size());
+    return true;
+  }
+
+  const std::vector<std::string_view>& fields() const { return fields_; }
+
+ private:
+  std::vector<std::string_view> fields_;
+  std::deque<std::string> scratch_;
+};
 
 // Chunk-driven CSV parser: feed it complete records, then Finish().
 class StreamParser {
@@ -319,35 +391,35 @@ class StreamParser {
   /// with the terminating newline and CR already stripped.
   Status ProcessRecord(std::string_view record) {
     ++record_no_;
-    if (!SplitRecordView(record)) {
+    if (!splitter_.Split(record, options_.delimiter)) {
       return Status::IOError("unterminated quote at record " +
                              std::to_string(record_no_));
     }
+    const std::vector<std::string_view>& fields = splitter_.fields();
     if (!header_done_) {
       header_done_ = true;
-      if (!options_.check_header) return Status::OK();
-      if (fields_.size() != schema_.num_attributes()) {
+      if (fields.size() != schema_.num_attributes()) {
         return Status::InvalidArgument(
             "CSV header arity does not match schema");
       }
-      for (size_t i = 0; i < fields_.size(); ++i) {
-        if (Trim(fields_[i]) != schema_.attribute(i).name) {
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (Trim(fields[i]) != schema_.attribute(i).name) {
           return Status::InvalidArgument(
-              "CSV header column '" + std::string(fields_[i]) +
+              "CSV header column '" + std::string(fields[i]) +
               "' does not match schema attribute '" +
               schema_.attribute(i).name + "'");
         }
       }
       return Status::OK();
     }
-    if (fields_.size() != schema_.num_attributes()) {
+    if (fields.size() != schema_.num_attributes()) {
       return Status::InvalidArgument(
           "record " + std::to_string(record_no_) + " has " +
-          std::to_string(fields_.size()) + " cells, expected " +
+          std::to_string(fields.size()) + " cells, expected " +
           std::to_string(schema_.num_attributes()));
     }
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (!AppendCell(i, fields_[i])) return std::move(error_);
+    for (size_t i = 0; i < fields.size(); ++i) {
+      if (!AppendCell(i, fields[i])) return std::move(error_);
     }
     ++rows_;
     return Status::OK();
@@ -419,7 +491,7 @@ class StreamParser {
         size_t cell_end = idx;
         if (cell_end > start && p[cell_end - 1] == '\r') --cell_end;
         if (col == 0 && cell_end == start) {
-          // Blank line (or lone CR): skipped, like the legacy loader.
+          // Blank line (or lone CR): skipped.
         } else {
           ++record_no_;
           if (col + 1 != arity) {
@@ -523,16 +595,8 @@ class StreamParser {
   /// record (last segment of a file without a trailing newline).
   Status ParseSegment(std::string_view segment) {
     FAIRCAP_ASSIGN_OR_RETURN(const size_t consumed, Consume(segment));
-    std::string_view record = segment.substr(consumed);
-    if (record.empty()) return Status::OK();
-    // Same dangling-record handling as the streaming tail: the CR guard
-    // needs the quote-parity check because the record may be an
-    // unterminated quote (which ProcessRecord rejects).
-    if (record.back() == '\r' && QuoteOpen(record)) {
-      // keep the CR: it is quoted field data of a malformed record
-    } else if (record.back() == '\r') {
-      record.remove_suffix(1);
-    }
+    if (consumed == segment.size()) return Status::OK();
+    const std::string_view record = TailRecord(segment.substr(consumed));
     if (record.empty() && header_done_) return Status::OK();
     return ProcessRecord(record);
   }
@@ -559,62 +623,11 @@ class StreamParser {
     }
     FAIRCAP_ASSIGN_OR_RETURN(DataFrame df, DataFrame::FromColumns(
                                                schema_, std::move(columns)));
-    if (options_.warm_start_index) WarmStartIndex(df, options_, stats);
+    if (options_.warm_start_index) WarmStartIndex(df, stats);
     return df;
   }
 
  private:
-  /// Mirrors csv.cc's SplitRecord, but fields without quoting are
-  /// zero-copy views into `record`; only fields containing quotes are
-  /// unescaped, into per-field scratch slots (a deque, so views into
-  /// earlier slots stay valid while later fields are parsed).
-  bool SplitRecordView(std::string_view record) {
-    fields_.clear();
-    size_t scratch_used = 0;
-    size_t field_start = 0;
-    bool in_quotes = false;
-    std::string* current = nullptr;  // non-null once the field hit a quote
-    auto emit = [&](size_t end) {
-      if (current != nullptr) {
-        fields_.push_back(*current);
-        ++scratch_used;
-        current = nullptr;
-      } else {
-        fields_.push_back(record.substr(field_start, end - field_start));
-      }
-    };
-    for (size_t i = 0; i < record.size(); ++i) {
-      const char c = record[i];
-      if (in_quotes) {
-        if (c == '"') {
-          if (i + 1 < record.size() && record[i + 1] == '"') {
-            current->push_back('"');
-            ++i;
-          } else {
-            in_quotes = false;
-          }
-        } else {
-          current->push_back(c);
-        }
-      } else if (c == '"') {
-        if (current == nullptr) {
-          if (scratch_.size() <= scratch_used) scratch_.emplace_back();
-          current = &scratch_[scratch_used];
-          current->assign(record.data() + field_start, i - field_start);
-        }
-        in_quotes = true;
-      } else if (c == options_.delimiter) {
-        emit(i);
-        field_start = i + 1;
-      } else if (current != nullptr) {
-        current->push_back(c);
-      }
-    }
-    if (in_quotes) return false;
-    emit(record.size());
-    return true;
-  }
-
   /// Parses one cell into its column. Returns false with error_ set on a
   /// malformed numeric cell (bool keeps Status construction off the hot
   /// path).
@@ -658,8 +671,7 @@ class StreamParser {
   const IngestOptions& options_;
   const std::string_view null_token_;  ///< hot-path view of the option
   std::vector<ColumnBuilder> builders_;
-  std::vector<std::string_view> fields_;
-  std::deque<std::string> scratch_;
+  FieldSplitter splitter_;
   Status error_;
   size_t record_no_ = 0;
   size_t rows_ = 0;
@@ -723,14 +735,9 @@ Result<DataFrame> StreamFrom(std::istream& in, const Schema& schema,
   }
   if (carry != 0) {
     // Final record without a trailing newline (or a dangling quote, which
-    // ProcessRecord rejects). The CR guard needs the quote-parity check
-    // here: the record may be unterminated.
-    std::string_view record(buf.data(), carry);
-    if (!record.empty() && record.back() == '\r' && QuoteOpen(record)) {
-      // keep the CR: it is quoted field data of a malformed record
-    } else if (!record.empty() && record.back() == '\r') {
-      record.remove_suffix(1);
-    }
+    // ProcessRecord rejects).
+    const std::string_view record =
+        TailRecord(std::string_view(buf.data(), carry));
     if (!(record.empty() && parser.header_done())) {
       FAIRCAP_RETURN_NOT_OK(parser.ProcessRecord(record));
     }
@@ -890,7 +897,7 @@ Result<DataFrame> ParseSegmented(std::string_view content,
   }
   FAIRCAP_ASSIGN_OR_RETURN(DataFrame df,
                            DataFrame::FromColumns(schema, std::move(columns)));
-  if (options.warm_start_index) WarmStartIndex(df, options, &local);
+  if (options.warm_start_index) WarmStartIndex(df, &local);
 
   local.rows = total_rows;
   local.bytes = content.size();
@@ -914,7 +921,7 @@ size_t ResolveParseThreads(const IngestOptions& options) {
 
 /// Parallel entry point over in-memory content; on a parse error the
 /// content is re-driven through the sequential reader so error messages
-/// (record numbers) are exactly the legacy ones.
+/// (record numbers) are exactly the sequential ones.
 Result<DataFrame> IngestSegmented(std::string_view content,
                                   const Schema& schema,
                                   const IngestOptions& options,
@@ -930,6 +937,103 @@ Result<DataFrame> IngestSegmented(std::string_view content,
   if (df.ok()) return df;
   std::istringstream in{std::string(content)};
   return StreamFrom(in, schema, options, stats, content.size());
+}
+
+// Schema inference over the parser's own record framing (FindRecordEnd,
+// TailRecord), field splitting, null handling and number parsing, so a
+// column is inferred numeric exactly when StreamParser can load every
+// cell of it as a number.
+class SchemaInferrer {
+ public:
+  explicit SchemaInferrer(const IngestOptions& options) : options_(options) {}
+
+  /// Takes one complete record (line-ending CR already stripped): the
+  /// header first, then the body. Blank body records are skipped.
+  Status ProcessRecord(std::string_view record) {
+    if (header_done_ && record.empty()) return Status::OK();
+    ++record_no_;
+    if (!splitter_.Split(record, options_.delimiter)) {
+      return Status::IOError("unterminated quote at record " +
+                             std::to_string(record_no_));
+    }
+    const std::vector<std::string_view>& fields = splitter_.fields();
+    if (!header_done_) {
+      header_done_ = true;
+      for (const std::string_view name : fields) {
+        names_.emplace_back(Trim(name));
+      }
+      numeric_.assign(fields.size(), true);
+      saw_value_.assign(fields.size(), false);
+      return Status::OK();
+    }
+    if (fields.size() != names_.size()) {
+      return Status::InvalidArgument(
+          "record " + std::to_string(record_no_) + " has " +
+          std::to_string(fields.size()) + " cells, expected " +
+          std::to_string(names_.size()));
+    }
+    for (size_t i = 0; i < fields.size(); ++i) {
+      const std::string_view cell = TrimView(fields[i]);
+      if (cell.empty() || cell == options_.null_token) continue;
+      saw_value_[i] = true;
+      double value = 0.0;
+      if (numeric_[i] && !FastParseDouble(cell, &value)) numeric_[i] = false;
+    }
+    return Status::OK();
+  }
+
+  Result<Schema> Finish() const {
+    if (!header_done_) {
+      return Status::IOError("CSV input is empty (no header)");
+    }
+    std::vector<AttributeSpec> attrs(names_.size());
+    for (size_t i = 0; i < names_.size(); ++i) {
+      attrs[i].name = names_[i];
+      // Columns that never produced a value stay categorical.
+      attrs[i].type = saw_value_[i] && numeric_[i] ? AttrType::kNumeric
+                                                   : AttrType::kCategorical;
+      attrs[i].role = AttrRole::kImmutable;
+    }
+    return Schema::Create(std::move(attrs));
+  }
+
+ private:
+  const IngestOptions& options_;
+  FieldSplitter splitter_;
+  std::vector<std::string> names_;
+  std::vector<bool> numeric_;
+  std::vector<bool> saw_value_;
+  size_t record_no_ = 0;
+  bool header_done_ = false;
+};
+
+/// One inference pass over `in`, read in chunk_bytes windows.
+Result<Schema> InferSchema(std::istream& in, const IngestOptions& options) {
+  SchemaInferrer inferrer(options);
+  const size_t chunk_bytes = std::max<size_t>(options.chunk_bytes, 1);
+  std::vector<char> chunk(chunk_bytes);
+  std::string buf;
+  size_t pos = 0;  // first unconsumed byte of buf
+  while (in) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk_bytes));
+    const size_t got = static_cast<size_t>(in.gcount());
+    if (got == 0) break;
+    buf.erase(0, pos);
+    pos = 0;
+    buf.append(chunk.data(), got);
+    for (size_t end = FindRecordEnd(buf, pos); end != kNoRecord;
+         end = FindRecordEnd(buf, pos)) {
+      std::string_view record(buf.data() + pos, end - pos);
+      if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
+      FAIRCAP_RETURN_NOT_OK(inferrer.ProcessRecord(record));
+      pos = end + 1;
+    }
+  }
+  if (pos < buf.size()) {
+    FAIRCAP_RETURN_NOT_OK(inferrer.ProcessRecord(
+        TailRecord(std::string_view(buf).substr(pos))));
+  }
+  return inferrer.Finish();
 }
 
 }  // namespace
@@ -958,10 +1062,9 @@ Result<DataFrame> StreamCsv(const std::string& path, const Schema& schema,
 Result<DataFrame> StreamCsvInferSchema(const std::string& path,
                                        const IngestOptions& options,
                                        IngestStats* stats) {
-  CsvOptions csv;
-  csv.delimiter = options.delimiter;
-  csv.null_token = options.null_token;
-  FAIRCAP_ASSIGN_OR_RETURN(const Schema schema, InferCsvSchema(path, csv));
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
+  FAIRCAP_ASSIGN_OR_RETURN(const Schema schema, InferSchema(in, options));
   return StreamCsv(path, schema, options, stats);
 }
 

@@ -1,19 +1,17 @@
-// Streaming columnar CSV ingestion. The legacy loader (dataframe/csv.h)
-// parses line by line into row-oriented Values and appends them one row at
-// a time; every cell allocates a Value and every row re-validates types
-// and invalidates the predicate index. This reader instead consumes the
-// input in fixed-size chunks and parses fields straight into
+// Streaming columnar CSV ingestion, the project's one CSV reader. It
+// consumes the input in fixed-size chunks and parses fields straight into
 // dictionary-encoded columnar storage (zero-copy string_view fields for
 // the unquoted common case), assembles the DataFrame wholesale, and
 // warm-starts its PredicateIndex with the per-category bitmap masks built
 // from the still-hot column codes — so Apriori, the intervention lattice,
 // and treatment-mask evaluation never pay a first-touch column scan.
 //
-// Semantics are identical to the legacy loader (a test pins bit-for-bit
-// DataFrame equality, including dictionary code assignment order):
-// RFC-4180 quoting, quoted fields may contain delimiters / CRLF / record
-// separators, CRLF line endings, trailing empty columns, and the same
-// null-token handling.
+// Dialect: RFC-4180 quoting (quoted fields may contain delimiters, CRLF
+// and record separators), CRLF line endings, blank lines skipped,
+// trailing empty columns, and null cells that are empty or equal the null
+// token after trimming. ingest_test pins every reader mode bit for bit
+// (including dictionary code assignment order) against a line-based
+// reference reader kept in tests/oracle/.
 
 #ifndef FAIRCAP_INGEST_CHUNKED_CSV_READER_H_
 #define FAIRCAP_INGEST_CHUNKED_CSV_READER_H_
@@ -21,9 +19,7 @@
 #include <cstddef>
 #include <string>
 
-#include "dataframe/csv.h"
 #include "dataframe/dataframe.h"
-#include "dataframe/predicate_index.h"
 #include "util/result.h"
 
 namespace faircap {
@@ -34,19 +30,15 @@ class TaskScheduler;  // util/task_scheduler.h
 struct IngestOptions {
   char delimiter = ',';
   /// Cells equal to this literal (after trimming) become nulls, in
-  /// addition to empty cells (same contract as CsvOptions).
+  /// addition to empty cells (the token WriteCsv writes for nulls).
   std::string null_token = "NA";
   /// Bytes read from the source per chunk.
   size_t chunk_bytes = 1 << 20;
-  /// Verify that the header matches the schema attribute names.
-  bool check_header = true;
   /// Build per-category bitmap masks during ingest and install them into
-  /// the DataFrame's PredicateIndex.
+  /// the DataFrame's PredicateIndex. Columns with more categories than
+  /// PredicateIndex::kBatchBuildMaxCategories get none: rare categories
+  /// of high-cardinality columns stay on-demand.
   bool warm_start_index = true;
-  /// Columns with more categories than this get no warm masks (the
-  /// index's own batch-build cap: rare categories of high-cardinality
-  /// columns should stay on-demand).
-  size_t warm_max_categories = PredicateIndex::kBatchBuildMaxCategories;
   /// Parse threads (1 = the sequential streaming reader; 0 = hardware
   /// concurrency). With more than one thread the input is split into
   /// record-aligned segments of ~chunk_bytes each, every segment is
@@ -77,13 +69,17 @@ struct IngestStats {
 };
 
 /// Streams a CSV file into a columnar DataFrame whose header must match
-/// `schema` (same names, same order) unless options.check_header is off.
+/// `schema` (same names after trimming, same order).
 Result<DataFrame> StreamCsv(const std::string& path, const Schema& schema,
                             const IngestOptions& options = {},
                             IngestStats* stats = nullptr);
 
-/// Streams a CSV file, inferring the schema first (one extra pass, shared
-/// with the legacy loader via InferCsvSchema so both agree on types).
+/// Streams a CSV file, inferring the schema first in one extra pass over
+/// the same record framing and field splitting: header names trimmed, a
+/// column numeric iff it holds a non-null cell and every non-null cell
+/// parses as a double (categorical otherwise), every role kImmutable.
+/// Empty input and unterminated quotes fail with IOError, ragged rows
+/// with InvalidArgument.
 Result<DataFrame> StreamCsvInferSchema(const std::string& path,
                                        const IngestOptions& options = {},
                                        IngestStats* stats = nullptr);

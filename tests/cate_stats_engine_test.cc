@@ -29,6 +29,22 @@
 #include "util/task_scheduler.h"
 
 namespace faircap {
+
+// The test seam into engine construction: an estimator whose engines never
+// take the exact int64 path, the pure-FP reference for the bit-identity
+// tests below.
+class CateEstimatorTestPeer {
+ public:
+  static Result<CateEstimator> CreateFpReference(const DataFrame* df,
+                                                 const CausalDag* dag,
+                                                 CateOptions options) {
+    FAIRCAP_ASSIGN_OR_RETURN(CateEstimator est,
+                             CateEstimator::Create(df, dag, options));
+    est.int_path_allowed_ = false;
+    return est;
+  }
+};
+
 namespace {
 
 // Relative-or-absolute tolerances per method. Stratified and the IPW
@@ -503,15 +519,17 @@ TEST(CateStatsEngineIntPathTest, IntAndFpPathsBitIdenticalOnIntegerData) {
   const std::vector<Pattern> interventions = SampleInterventions(df, 2, &rng);
   ASSERT_FALSE(interventions.empty());
   const Bitmap dense = RandomGroup(df.num_rows(), 0.7, &rng);
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const uint64_t int_walks_before =
+      reg.CounterValue("estimation.accumulate_path_int");
 
   for (const CateMethod method :
        {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
-    CateOptions int_opts;
-    int_opts.method = method;
-    CateOptions fp_opts = int_opts;
-    fp_opts.disable_int_fast_path = true;  // pure-FP reference engine
-    const auto int_est = CateEstimator::Create(&df, &data->dag, int_opts);
-    const auto fp_est = CateEstimator::Create(&df, &data->dag, fp_opts);
+    CateOptions opts;
+    opts.method = method;
+    const auto int_est = CateEstimator::Create(&df, &data->dag, opts);
+    const auto fp_est =
+        CateEstimatorTestPeer::CreateFpReference(&df, &data->dag, opts);
     ASSERT_TRUE(int_est.ok());
     ASSERT_TRUE(fp_est.ok());
     for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
@@ -527,10 +545,15 @@ TEST(CateStatsEngineIntPathTest, IntAndFpPathsBitIdenticalOnIntegerData) {
               int_est->EstimateSubgroups(
                   interventions[i], dense, &protected_mask, 5,
                   /*skip_subgroups_unless_positive=*/false, &plan, nullptr);
+          const uint64_t int_walks =
+              reg.CounterValue("estimation.accumulate_path_int");
           const Result<CateSubgroupEstimates> ref =
               fp_est->EstimateSubgroups(
                   interventions[i], dense, &protected_mask, 5,
                   /*skip_subgroups_unless_positive=*/false, &plan, nullptr);
+          EXPECT_EQ(reg.CounterValue("estimation.accumulate_path_int"),
+                    int_walks)
+              << tag << ": the FP reference took the int64 path";
           ASSERT_TRUE(got.ok()) << tag;
           ASSERT_TRUE(ref.ok()) << tag;
           ExpectSameSubgroups(*got, *ref, tag);
@@ -545,6 +568,9 @@ TEST(CateStatsEngineIntPathTest, IntAndFpPathsBitIdenticalOnIntegerData) {
                                    std::to_string(static_cast<int>(method)));
     }
   }
+  // The comparison means something only if the int64 path ran.
+  EXPECT_GT(reg.CounterValue("estimation.accumulate_path_int"),
+            int_walks_before);
 }
 
 // Near-limit magnitudes: |y| up to ~3e6 puts Σy² past 2^53 after ~1000
@@ -596,12 +622,11 @@ TEST(CateStatsEngineIntPathTest, OverflowGuardFallsBackBitIdentically) {
 
   for (const CateMethod method :
        {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
-    CateOptions int_opts;
-    int_opts.method = method;
-    CateOptions fp_opts = int_opts;
-    fp_opts.disable_int_fast_path = true;
-    const auto int_est = CateEstimator::Create(&data.df, &data.dag, int_opts);
-    const auto fp_est = CateEstimator::Create(&data.df, &data.dag, fp_opts);
+    CateOptions opts;
+    opts.method = method;
+    const auto int_est = CateEstimator::Create(&data.df, &data.dag, opts);
+    const auto fp_est =
+        CateEstimatorTestPeer::CreateFpReference(&data.df, &data.dag, opts);
     ASSERT_TRUE(int_est.ok());
     ASSERT_TRUE(fp_est.ok());
     for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {

@@ -1,5 +1,6 @@
 // Streaming ingest tests: the chunked columnar reader must produce a
-// DataFrame bit-for-bit identical to the legacy row-by-row loader —
+// DataFrame bit-for-bit identical to the line-based reference reader in
+// tests/oracle/ —
 // schema, cell values, dictionary code assignment order, and predicate
 // evaluation — across quoting/CRLF/null edge cases and arbitrary chunk
 // boundaries; the warm-started PredicateIndex must serve masks identical
@@ -12,12 +13,16 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "causal/dag_io.h"
+#include "dataframe/csv.h"
 #include "dataframe/predicate_index.h"
 #include "ingest/repository.h"
 #include "ingest/synthetic.h"
 #include "mining/pattern.h"
+#include "oracle/legacy_csv.h"
 #include "util/task_scheduler.h"
 
 namespace faircap {
@@ -80,7 +85,7 @@ const char kEdgeCaseCsv[] =
     "carol,berlin,";
 
 TEST(IngestTest, StreamingMatchesLegacyOnEdgeCases) {
-  const auto legacy = ParseCsv(kEdgeCaseCsv, TestSchema());
+  const auto legacy = oracle::ParseCsv(kEdgeCaseCsv, TestSchema());
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   const auto streamed = StreamCsvFromString(kEdgeCaseCsv, TestSchema());
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
@@ -107,7 +112,7 @@ TEST(IngestTest, ChunkBoundariesNeverSplitSemantics) {
         StreamCsvFromString(kEdgeCaseCsv, TestSchema(), options);
     ASSERT_TRUE(streamed.ok())
         << "chunk " << chunk_bytes << ": " << streamed.status().ToString();
-    const auto legacy = ParseCsv(kEdgeCaseCsv, TestSchema());
+    const auto legacy = oracle::ParseCsv(kEdgeCaseCsv, TestSchema());
     ASSERT_TRUE(legacy.ok());
     ExpectFramesIdentical(*legacy, *streamed);
   }
@@ -154,7 +159,7 @@ TEST(IngestTest, StreamingMatchesLegacyOnGeneratedWorkload) {
   const std::string path = testing::TempDir() + "/faircap_ingest_test.csv";
   ASSERT_TRUE(WriteCsv(data->df, path).ok());
 
-  const auto legacy = ReadCsv(path, data->df.schema());
+  const auto legacy = oracle::ReadCsv(path, data->df.schema());
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   IngestOptions options;
   options.chunk_bytes = 512;  // force many chunks
@@ -321,20 +326,72 @@ TEST(IngestTest, ParallelRunsOnBorrowedScheduler) {
   EXPECT_GT(scheduler.GetStats().executed, 0u);
 }
 
-TEST(IngestTest, InferSchemaMatchesLegacyInference) {
+// Writes `content` to a scratch file and checks streaming inference
+// against the oracle's: the same schema (names, types, roles) and, when
+// the oracle loads the file, the same table; otherwise the same status
+// code. A non-empty `want_types` also pins the inferred types.
+void ExpectInferenceMatchesOracle(
+    const std::string& content, const std::string& label,
+    const std::vector<AttrType>& want_types = {}) {
   const std::string path = testing::TempDir() + "/faircap_ingest_infer.csv";
   {
-    std::ofstream out(path);
-    out << "a,b,c\nx,1,2.5\ny,2,NA\nz,3,7\n";
+    std::ofstream out(path, std::ios::binary);
+    out << content;
   }
-  const auto legacy = ReadCsvInferSchema(path);
-  ASSERT_TRUE(legacy.ok());
+  const auto legacy_schema = oracle::InferCsvSchema(path);
+  const auto legacy = oracle::ReadCsvInferSchema(path);
   const auto streamed = StreamCsvInferSchema(path);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   std::remove(path.c_str());
+  if (!legacy_schema.ok()) {
+    ASSERT_FALSE(streamed.ok()) << label;
+    EXPECT_EQ(streamed.status().code(), legacy_schema.status().code())
+        << label << ": " << streamed.status().ToString() << " vs "
+        << legacy_schema.status().ToString();
+    return;
+  }
+  ASSERT_TRUE(legacy.ok()) << label << ": " << legacy.status().ToString();
+  ASSERT_TRUE(streamed.ok()) << label << ": " << streamed.status().ToString();
+  const Schema& schema = streamed->schema();
+  ASSERT_EQ(schema.num_attributes(), legacy_schema->num_attributes()) << label;
+  for (size_t i = 0; i < schema.num_attributes(); ++i) {
+    EXPECT_EQ(schema.attribute(i).name, legacy_schema->attribute(i).name)
+        << label;
+    EXPECT_EQ(schema.attribute(i).type, legacy_schema->attribute(i).type)
+        << label << " column " << i;
+    EXPECT_EQ(schema.attribute(i).role, AttrRole::kImmutable) << label;
+    if (!want_types.empty()) {
+      EXPECT_EQ(schema.attribute(i).type, want_types[i])
+          << label << " column " << i;
+    }
+  }
   ExpectFramesIdentical(*legacy, *streamed);
-  EXPECT_EQ(streamed->schema().attribute(0).type, AttrType::kCategorical);
-  EXPECT_EQ(streamed->schema().attribute(1).type, AttrType::kNumeric);
+}
+
+constexpr AttrType kCat = AttrType::kCategorical;
+constexpr AttrType kNum = AttrType::kNumeric;
+
+TEST(IngestTest, InferSchemaMatchesLegacyInference) {
+  ExpectInferenceMatchesOracle("a,b,c\nx,1,2.5\ny,2,NA\nz,3,7\n", "basic",
+                               {kCat, kNum, kNum});
+  // Quotes, escapes, embedded newlines, CRLF, a blank CRLF line and a
+  // final record without a newline.
+  ExpectInferenceMatchesOracle(kEdgeCaseCsv, "edge cases", {kCat, kCat, kNum});
+  // Trimmed header names; an all-null column stays categorical.
+  ExpectInferenceMatchesOracle(" a , b \n1,\n2,NA\n3, \n", "all-null column",
+                               {kNum, kCat});
+  // NA tokens next to numbers and text.
+  ExpectInferenceMatchesOracle("n,t\nNA,NA\n1,x\n NA ,y\n", "NA tokens",
+                               {kNum, kCat});
+  // E notation, inf and leading '+' are numbers to strtod.
+  ExpectInferenceMatchesOracle(
+      "e,inf,plus,mixed\n1e3,inf,+5,1E-2\n-2.5E+1,-inf,+0.5,abc\n", "numbers",
+      {kNum, kNum, kNum, kCat});
+  // Ragged rows, unterminated quotes (header and body) and empty input
+  // fail with the oracle's status codes.
+  ExpectInferenceMatchesOracle("a,b\n1,2\n3\n", "ragged row");
+  ExpectInferenceMatchesOracle("a,b\n1,\"open\n2,3\n", "unterminated body");
+  ExpectInferenceMatchesOracle("a,\"b\n1,2\n", "unterminated header");
+  ExpectInferenceMatchesOracle("", "empty input");
 }
 
 TEST(RepositoryTest, BuiltinsAreRegistered) {

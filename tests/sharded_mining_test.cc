@@ -6,8 +6,10 @@
 // synthetic-with-nulls table below), and within tight tolerance on
 // continuous data (german), where only floating-point summation order
 // differs at shard boundaries. The full pipeline must select the same
-// ruleset either way, and a fixed shard count must be bit-identical no
-// matter how many threads execute it.
+// ruleset either way, a fixed shard count must be bit-identical no
+// matter how many threads execute it, and Step-2 mining of a hot
+// full-population pattern (alone or ahead of a tail of small patterns)
+// must mine the same candidates however it is sharded or scheduled.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,8 @@
 #include "causal/estimator.h"
 #include "core/faircap.h"
 #include "data/german.h"
+#include "ingest/synthetic.h"
+#include "mining/apriori.h"
 #include "mining/shard_plan.h"
 #include "util/obs/metrics.h"
 #include "util/random.h"
@@ -259,15 +263,13 @@ TEST(ShardedMiningTest, TableAccumsRaceToFirstUse) {
   }
 }
 
-void ExpectSameRuleset(const FairCapResult& sharded,
-                       const FairCapResult& oracle, double tol,
-                       const std::string& label) {
-  EXPECT_EQ(sharded.num_grouping_patterns, oracle.num_grouping_patterns)
-      << label;
-  ASSERT_EQ(sharded.rules.size(), oracle.rules.size()) << label;
-  for (size_t i = 0; i < sharded.rules.size(); ++i) {
-    const PrescriptionRule& a = sharded.rules[i];
-    const PrescriptionRule& b = oracle.rules[i];
+void ExpectSameRules(const std::vector<PrescriptionRule>& sharded,
+                     const std::vector<PrescriptionRule>& oracle, double tol,
+                     const std::string& label) {
+  ASSERT_EQ(sharded.size(), oracle.size()) << label;
+  for (size_t i = 0; i < sharded.size(); ++i) {
+    const PrescriptionRule& a = sharded[i];
+    const PrescriptionRule& b = oracle[i];
     const std::string tag = label + "/rule" + std::to_string(i);
     EXPECT_TRUE(a.grouping == b.grouping) << tag;
     EXPECT_TRUE(a.intervention == b.intervention) << tag;
@@ -289,6 +291,14 @@ void ExpectSameRuleset(const FairCapResult& sharded,
           << tag;
     }
   }
+}
+
+void ExpectSameRuleset(const FairCapResult& sharded,
+                       const FairCapResult& oracle, double tol,
+                       const std::string& label) {
+  EXPECT_EQ(sharded.num_grouping_patterns, oracle.num_grouping_patterns)
+      << label;
+  ExpectSameRules(sharded.rules, oracle.rules, tol, label);
 }
 
 FairCapResult RunPipeline(const TestData& data, size_t num_shards,
@@ -352,6 +362,90 @@ TEST(ShardedMiningTest, FixedShardCountIsThreadCountDeterministic) {
   const FairCapResult pooled = RunPipeline(data, /*num_shards=*/7,
                                            /*num_threads=*/4);
   ExpectSameRuleset(pooled, sequential, /*tol=*/0.0, "determinism");
+}
+
+// Step-2 mining over explicit grouping patterns: one treatment predicate
+// per intervention, all three CATEs (the fairness constraint needs them).
+std::vector<PrescriptionRule> MineCandidates(
+    const SyntheticData& data, const std::vector<FrequentPattern>& groups,
+    size_t num_threads, size_t num_shards) {
+  FairCapOptions options;
+  options.lattice.max_predicates = 1;
+  options.fairness = FairnessConstraint::GroupSP(1e9);
+  options.num_threads = num_threads;
+  options.num_shards = num_shards;
+  auto solver =
+      FairCap::Create(&data.df, &data.dag, data.protected_pattern, options);
+  EXPECT_TRUE(solver.ok());
+  auto candidates = solver->MineCandidateRules(groups);
+  EXPECT_TRUE(candidates.ok()) << candidates.status().ToString();
+  return std::move(candidates).ValueOrDie();
+}
+
+// The hot pattern: one grouping pattern covering every row, the shape
+// where only row sharding spreads the work.
+FrequentPattern FullPopulation(const DataFrame& df) {
+  FrequentPattern fp;
+  fp.coverage = df.AllRows();
+  fp.support = df.num_rows();
+  return fp;
+}
+
+TEST(ShardedMiningTest, HotPatternCandidatesIdenticalAcrossShardCounts) {
+  SyntheticConfig config;
+  config.num_rows = 20000;
+  config.seed = 29;
+  const auto data = MakeSynthetic(config);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const std::vector<FrequentPattern> groups = {FullPopulation(data->df)};
+  const std::vector<PrescriptionRule> unsharded =
+      MineCandidates(*data, groups, /*num_threads=*/4, /*num_shards=*/1);
+  ASSERT_FALSE(unsharded.empty());
+  for (const size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
+    // Continuous outcome: shard boundaries reassociate the sums.
+    ExpectSameRules(MineCandidates(*data, groups, 4, shards), unsharded,
+                    /*tol=*/1e-9, "hot/s" + std::to_string(shards));
+  }
+}
+
+TEST(ShardedMiningTest, SkewedPatternTailSameRuleIdentitiesAcrossScheduling) {
+  SyntheticConfig config;
+  config.num_rows = 20000;
+  config.seed = 53;
+  const auto data = MakeSynthetic(config);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const DataFrame& df = data->df;
+  // The full population ahead of a tail of small per-category patterns
+  // over every immutable categorical attribute.
+  std::vector<FrequentPattern> groups = {FullPopulation(df)};
+  for (const size_t attr : df.schema().IndicesWithRole(AttrRole::kImmutable)) {
+    const Column& col = df.column(attr);
+    if (col.type() != AttrType::kCategorical) continue;
+    for (size_t code = 0; code < col.num_categories(); ++code) {
+      FrequentPattern fp;
+      fp.pattern = Pattern({Predicate(
+          attr, CompareOp::kEq,
+          Value(col.CategoryName(static_cast<int32_t>(code))))});
+      fp.coverage = fp.pattern.Evaluate(df);
+      fp.support = fp.coverage.Count();
+      if (fp.support > 0) groups.push_back(std::move(fp));
+    }
+  }
+  ASSERT_GT(groups.size(), 2u);
+  // Per-pattern fan-out (one shard) vs the pattern x shard task graph
+  // (shards = threads) on the same four workers: the shard counts differ,
+  // so utilities may differ by reassociation; rule identities may not.
+  const std::vector<PrescriptionRule> per_pattern =
+      MineCandidates(*data, groups, /*num_threads=*/4, /*num_shards=*/1);
+  const std::vector<PrescriptionRule> graph =
+      MineCandidates(*data, groups, /*num_threads=*/4, /*num_shards=*/0);
+  ASSERT_FALSE(per_pattern.empty());
+  ASSERT_EQ(graph.size(), per_pattern.size());
+  for (size_t i = 0; i < graph.size(); ++i) {
+    EXPECT_TRUE(graph[i].grouping == per_pattern[i].grouping) << "rule " << i;
+    EXPECT_TRUE(graph[i].intervention == per_pattern[i].intervention)
+        << "rule " << i;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "core/faircap.h"
+#include "dataframe/csv.h"
 #include "dataframe/predicate_index.h"
 #include "ingest/chunked_csv_reader.h"
 

@@ -22,10 +22,12 @@
 // conjunction of attr=value equalities; the DAG file uses the "A -> B;"
 // dialect of causal/dag_io.h.
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -48,6 +50,12 @@
 using namespace faircap;
 
 namespace {
+
+/// Cap on --threads and --shards: far above any core count this runs on,
+/// far below a worker count that would exhaust the host.
+constexpr size_t kMaxWorkers = 1024;
+/// Cap on --chunk-kb (1 GiB): the reader allocates two chunks up front.
+constexpr size_t kMaxChunkKb = size_t{1} << 20;
 
 struct CliArgs {
   std::map<std::string, std::string> values;
@@ -75,6 +83,27 @@ struct CliArgs {
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = values.find(key);
     return it == values.end() ? fallback : std::atof(it->second.c_str());
+  }
+  /// Count flag `key`: a plain decimal integer in [0, max], `fallback`
+  /// when absent. Signs, fractions, exponents and trailing junk fail with
+  /// an error naming the flag.
+  Result<size_t> GetCount(
+      const std::string& key, size_t fallback,
+      size_t max = std::numeric_limits<size_t>::max()) const {
+    const auto it = values.find(key);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    size_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() ||
+        end != text.data() + text.size() || value > max) {
+      return Status::InvalidArgument("--" + key +
+                                     " must be a whole number from 0 to " +
+                                     std::to_string(max) + ", got '" + text +
+                                     "'");
+    }
+    return value;
   }
   bool Has(const std::string& key) const { return values.count(key) != 0; }
 };
@@ -152,15 +181,15 @@ Result<DatasetRequest> RequestFromArgs(const CliArgs& args,
   DatasetRequest request;
   request.name = name;
   if (args.Has("rows")) {
-    const double rows = args.GetDouble("rows", 0);
-    if (!(rows >= 1)) {
+    const Result<size_t> rows = args.GetCount("rows", 0);
+    if (!rows.ok() || *rows == 0) {
       return Status::InvalidArgument(
           "--rows must be a positive row count, got '" + args.Get("rows") +
           "' (omit it for the dataset's default size)");
     }
-    request.rows = static_cast<size_t>(rows);
+    request.rows = *rows;
   }
-  request.seed = static_cast<uint64_t>(args.GetDouble("seed", 0));
+  FAIRCAP_ASSIGN_OR_RETURN(request.seed, args.GetCount("seed", 0));
   for (const std::string& kv : Split(args.Get("set"), ',')) {
     if (std::string(Trim(kv)).empty()) continue;
     const size_t eq = kv.find('=');
@@ -245,10 +274,14 @@ int RunGen(const CliArgs& args) {
 int RunIngest(const CliArgs& args) {
   if (!args.Has("data")) return Fail("ingest needs --data=FILE.csv");
   const std::string path = args.Get("data");
+  const Result<size_t> chunk_kb =
+      args.GetCount("chunk-kb", 1024, kMaxChunkKb);
+  if (!chunk_kb.ok()) return Fail(chunk_kb.status().ToString());
+  const Result<size_t> threads = args.GetCount("threads", 1, kMaxWorkers);
+  if (!threads.ok()) return Fail(threads.status().ToString());
   IngestOptions options;
-  options.chunk_bytes = static_cast<size_t>(
-      args.GetDouble("chunk-kb", 1024.0) * 1024.0);
-  options.num_threads = static_cast<size_t>(args.GetDouble("threads", 1));
+  options.chunk_bytes = *chunk_kb * 1024;
+  options.num_threads = *threads;
 
   IngestStats stats;
   auto df = StreamCsvInferSchema(path, options, &stats);
@@ -299,16 +332,19 @@ Result<Pattern> ParseProtected(const CliArgs& args, const DataFrame& df,
 Result<FairCapOptions> OptionsFromArgs(const CliArgs& args) {
   FairCapOptions options;
   options.apriori.min_support_fraction = args.GetDouble("min-support", 0.1);
-  options.lattice.max_predicates = static_cast<size_t>(
-      args.GetDouble("max-intervention-predicates", 2));
-  options.greedy.max_rules =
-      static_cast<size_t>(args.GetDouble("max-rules", 20));
-  options.num_threads = static_cast<size_t>(args.GetDouble("threads", 0));
-  options.num_shards = static_cast<size_t>(args.GetDouble("shards", 0));
-  options.cate.min_group_size =
-      static_cast<size_t>(args.GetDouble("min-group-size", 10));
-  options.min_subgroup_arm = static_cast<size_t>(
-      args.GetDouble("min-subgroup-arm", 5));
+  FAIRCAP_ASSIGN_OR_RETURN(
+      options.lattice.max_predicates,
+      args.GetCount("max-intervention-predicates", 2));
+  FAIRCAP_ASSIGN_OR_RETURN(options.greedy.max_rules,
+                           args.GetCount("max-rules", 20));
+  FAIRCAP_ASSIGN_OR_RETURN(options.num_threads,
+                           args.GetCount("threads", 0, kMaxWorkers));
+  FAIRCAP_ASSIGN_OR_RETURN(options.num_shards,
+                           args.GetCount("shards", 0, kMaxWorkers));
+  FAIRCAP_ASSIGN_OR_RETURN(options.cate.min_group_size,
+                           args.GetCount("min-group-size", 10));
+  FAIRCAP_ASSIGN_OR_RETURN(options.min_subgroup_arm,
+                           args.GetCount("min-subgroup-arm", 5));
   const double engine_budget_mb = args.GetDouble("engine-budget-mb", 0.0);
   if (engine_budget_mb > 0.0) {
     options.engine_memory_budget =
@@ -347,6 +383,11 @@ int RunPipeline(const CliArgs& args) {
     PrintUsage();
     return 0;
   }
+  // Flags first: a malformed count fails before any dataset is loaded.
+  auto parsed_options = OptionsFromArgs(args);
+  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
+  FairCapOptions options = std::move(parsed_options).ValueOrDie();
+
   StopWatch load_watch;
   auto loaded = LoadFromArgs(args);
   if (!loaded.ok()) {
@@ -371,11 +412,6 @@ int RunPipeline(const CliArgs& args) {
     df.predicate_index().SetMemoryBudget(
         static_cast<size_t>(budget_mb * 1024.0 * 1024.0));
   }
-
-  // --- Options ----------------------------------------------------------
-  auto parsed_options = OptionsFromArgs(args);
-  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
-  FairCapOptions options = std::move(parsed_options).ValueOrDie();
 
   // --- Run ---------------------------------------------------------------
   auto solver = FairCap::Create(&df, &dag, protected_pattern, options);
@@ -493,14 +529,19 @@ bool RulesetsMatch(const std::vector<PrescriptionRule>& a,
 }
 
 int RunAppend(const CliArgs& args) {
+  // Flags first: a malformed count fails before any dataset is loaded.
+  auto parsed_options = OptionsFromArgs(args);
+  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
+  const FairCapOptions options = std::move(parsed_options).ValueOrDie();
+  const Result<size_t> delta_batches = args.GetCount("delta-batches", 1);
+  if (!delta_batches.ok()) return Fail(delta_batches.status().ToString());
+
   auto loaded = LoadFromArgs(args);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   const CausalDag dag_copy = loaded->dag;  // verify run borrows this one
 
   const bool use_files = args.Has("delta");
   const double delta_fraction = args.GetDouble("delta-fraction", 0.0);
-  const size_t delta_batches =
-      static_cast<size_t>(args.GetDouble("delta-batches", 1));
   if (!use_files && delta_fraction <= 0.0) {
     return Fail(
         "append needs --delta=FILE.csv[,FILE2] or --delta-fraction=F "
@@ -529,14 +570,15 @@ int RunAppend(const CliArgs& args) {
     const size_t total = base.num_rows();
     const size_t batch_rows =
         static_cast<size_t>(static_cast<double>(total) * delta_fraction);
-    if (batch_rows == 0 || batch_rows * delta_batches >= total) {
+    if (batch_rows == 0 || (*delta_batches != 0 &&
+                            batch_rows > (total - 1) / *delta_batches)) {
       return Fail("--delta-fraction/--delta-batches leave no base rows");
     }
-    const size_t base_rows = total - batch_rows * delta_batches;
+    const size_t base_rows = total - batch_rows * *delta_batches;
     std::vector<uint32_t> ids(base_rows);
     for (size_t i = 0; i < base_rows; ++i) ids[i] = static_cast<uint32_t>(i);
     DataFrame split_base = base.TakeRows(ids);
-    for (size_t b = 0; b < delta_batches; ++b) {
+    for (size_t b = 0; b < *delta_batches; ++b) {
       ids.resize(batch_rows);
       for (size_t i = 0; i < batch_rows; ++i) {
         ids[i] = static_cast<uint32_t>(base_rows + b * batch_rows + i);
@@ -550,9 +592,6 @@ int RunAppend(const CliArgs& args) {
       ParseProtected(args, base, std::move(loaded->protected_pattern));
   if (!parsed_protected.ok()) return Fail(parsed_protected.status().ToString());
   const Pattern protected_pattern = std::move(parsed_protected).ValueOrDie();
-  auto parsed_options = OptionsFromArgs(args);
-  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
-  const FairCapOptions options = std::move(parsed_options).ValueOrDie();
 
   auto session = IncrementalSession::Create(std::move(base), std::move(loaded->dag),
                                             protected_pattern, options);
